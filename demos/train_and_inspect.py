@@ -43,10 +43,7 @@ print(f"training set: n = {train.n}, y range [{train.ys.min():.3f}, "
 rows = []
 for alpha in (1.0, 1.5, 2.0):
     for lam in (0.1, 0.01):
-        method = ("closed_form_quadratic" if alpha == 2.0
-                  else "proximal_first_order")
-        res = fit(kernel, power_loss(alpha), train,
-                  SolverConfig(lam=lam, method=method))
+        res = fit(kernel, power_loss(alpha), train, SolverConfig(lam=lam))
         rows.append((alpha, lam, res.objective, res.f.rkhs_norm(),
                      lam ** -0.5, excess_l2_risk(model, res.f),
                      res.iterations))

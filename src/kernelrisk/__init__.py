@@ -19,8 +19,6 @@ from .kernels import (
     KernelExpansion,
     combine_expansions,
     kernel_matrix,
-    rkhs_norm,
-    sup_norm_bound,
     zero_expansion,
 )
 from .losses import (

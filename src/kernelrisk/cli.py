@@ -103,6 +103,17 @@ def build_model(opts: dict) -> DataModel:
     return DataModel(truth, noise)
 
 
+def covering_sample(box: Box, n: int, seed: int = 0,
+                    sample: str = "equispaced") -> np.ndarray:
+    """n inputs for covering estimation: an equispaced grid when ``sample``
+    is "equispaced" and the domain is 1-d, otherwise uniform draws from
+    ``seed``."""
+    if sample == "equispaced" and box.dim == 1:
+        return np.linspace(box.lower[0], box.upper[0], n).reshape(-1, 1)
+    rng = np.random.default_rng(seed)
+    return rng.uniform(box.lower, box.upper, size=(n, box.dim))
+
+
 def add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel-family", dest="kernel_family",
                         choices=("matern", "gaussian", "linear"))
@@ -140,9 +151,7 @@ def cmd_fit(args, file_values) -> int:
     kernel = model.kernel
     alpha = float(opts["alpha"])
     train = generate(model, int(opts["n"]), int(opts["seed"]))
-    method = ("closed_form_quadratic" if alpha == 2.0
-              else "proximal_first_order")
-    cfg = SolverConfig(lam=float(opts["lam"]), method=method,
+    cfg = SolverConfig(lam=float(opts["lam"]),
                        objective_tolerance=float(opts["tolerance"]))
     spec = power_loss(alpha)
     result = fit(kernel, spec, train, cfg)
@@ -226,13 +235,8 @@ def cmd_covering_fit(args, file_values) -> int:
                     deltas=16, csv=None)
     opts = resolve(args, file_values, defaults)
     kernel = build_kernel(opts)
-    box = kernel.domain
-    n = int(opts["n"])
-    if opts["sample"] == "equispaced" and box.dim == 1:
-        xs = np.linspace(box.lower[0], box.upper[0], n).reshape(-1, 1)
-    else:
-        rng = np.random.default_rng(int(opts["seed"]))
-        xs = rng.uniform(box.lower, box.upper, size=(n, box.dim))
+    xs = covering_sample(kernel.domain, int(opts["n"]), int(opts["seed"]),
+                         opts["sample"])
     est = fit_covering_exponent(kernel, xs)
     rows = [(d, lo, up, bool(u)) for d, lo, up, u in
             zip(est.delta_grid, est.lower, est.upper, est.used)]
@@ -254,10 +258,8 @@ def cmd_rates_run(args, file_values) -> int:
     kernel = model.kernel
     p = opts["covering_exponent"]
     if p is None:
-        box = kernel.domain
-        xs = np.linspace(box.lower[0], box.upper[0],
-                         int(opts["covering_n"])).reshape(-1, 1)
-        est = fit_covering_exponent(kernel, xs)
+        est = fit_covering_exponent(
+            kernel, covering_sample(kernel.domain, int(opts["covering_n"])))
         p = est.exponent
         print(f"fitted covering exponent: {p:.4f}")
     p = float(p)
@@ -287,10 +289,8 @@ def cmd_validate(args, file_values) -> int:
         lam = float(opts["lam"]) if opts["lam"] is not None \
             else float(opts["n"]) ** -(2.0 / 3.0)
         if opts["covering_scale"] is None or opts["covering_exponent"] is None:
-            box = kernel.domain
-            xs = np.linspace(box.lower[0], box.upper[0],
-                             int(opts["covering_n"])).reshape(-1, 1)
-            est = fit_covering_exponent(kernel, xs)
+            est = fit_covering_exponent(
+                kernel, covering_sample(kernel.domain, int(opts["covering_n"])))
             covering = (est.scale, est.exponent)
             print(f"fitted covering law: scale={est.scale:.4g} "
                   f"exponent={est.exponent:.4f}")

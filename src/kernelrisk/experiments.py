@@ -66,30 +66,26 @@ class TrialRecord:
                 self.certified_gap, self.norm_budget)
 
 
-def empirical_min_risk(spec: LossSpec, train: TrainingSet) -> float:
-    """Minimal empirical risk over all functions: per-input conditional minima.
+def empirical_min_risk(spec: LossSpec, train: TrainingSet,
+                       weights: np.ndarray | None = None) -> float:
+    """Minimal risk over all functions: per-input conditional minima.
 
+    ``weights`` are the samples' probability masses, normalized like
+    :func:`~kernelrisk.solver.fit` does (default: the empirical measure).
     Zero whenever the inputs are distinct; with repeated inputs each group
-    contributes its minimal inner risk.
+    contributes its minimal inner risk times the group's mass.
     """
     _, inverse, counts = np.unique(train.xs, axis=0, return_inverse=True,
                                    return_counts=True)
-    if np.all(counts == 1):
-        return 0.0
+    w = np.ones(train.n) if weights is None \
+        else np.asarray(weights, dtype=float).reshape(-1)
     total = 0.0
-    for g in range(len(counts)):
-        ys = train.ys[inverse == g]
-        if len(ys) == 1:
-            continue
-        _, val = minimal_inner_risk(spec, FiniteDistribution(
-            ys, np.ones(len(ys))))
-        total += val * len(ys) / train.n
+    for g in np.flatnonzero(counts > 1):
+        mask = inverse == g
+        _, val = minimal_inner_risk(spec, FiniteDistribution(train.ys[mask],
+                                                             w[mask]))
+        total += float(val * w[mask].sum() / w.sum())
     return total
-
-
-def _solver_config(alpha: float, lam: float, tolerance: float) -> SolverConfig:
-    method = "closed_form_quadratic" if alpha == 2.0 else "proximal_first_order"
-    return SolverConfig(lam=lam, method=method, objective_tolerance=tolerance)
 
 
 def run_trial(model: DataModel, kernel: Kernel, alpha: float, lam: float,
@@ -102,7 +98,8 @@ def run_trial(model: DataModel, kernel: Kernel, alpha: float, lam: float,
     data_seed, mc_seed = ss.spawn(2)
     train = generate(model, n, data_seed)
     spec = power_loss(alpha)
-    result = fit(kernel, spec, train, _solver_config(alpha, lam, solver_tolerance))
+    result = fit(kernel, spec, train,
+                 SolverConfig(lam=lam, objective_tolerance=solver_tolerance))
 
     exc2 = excess_l2_risk(model, result.f, eval_budget=eval_budget)
     exc_a = se_a = None

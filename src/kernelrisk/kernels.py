@@ -3,8 +3,9 @@
 Every kernel is normalized so that k(x, x) <= 1 on its domain box, which
 makes the embedding of the induced Hilbert space into the bounded continuous
 functions have norm one: ||f||_inf <= ||f||_H.  All bound calculators in
-this package rely on that convention, and :func:`sup_norm_bound` returns the
-certified upper bound ||f||_H wherever a sup-norm is needed.
+this package rely on that convention, and
+:meth:`KernelExpansion.sup_norm_bound` returns the certified upper bound
+||f||_H wherever a sup-norm is needed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ __all__ = [
     "DomainError",
     "IndefiniteGramError",
     "kernel_matrix",
-    "cross_kernel_matrix",
-    "rkhs_norm",
-    "sup_norm_bound",
     "grid_sup_estimate",
     "combine_expansions",
     "zero_expansion",
@@ -236,11 +234,6 @@ def kernel_matrix(kernel: Kernel, points) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-def cross_kernel_matrix(kernel: Kernel, xa, xb) -> np.ndarray:
-    """Rectangular kernel matrix k(xa_i, xb_j), without domain checks."""
-    return kernel.pairwise(xa, xb)
-
-
 # Above this many kernel evaluations, expansion evaluation switches to the
 # exact O(n log n) prefix-scan path when one exists for the kernel family.
 _SCAN_THRESHOLD = 1 << 14
@@ -281,7 +274,7 @@ class KernelExpansion:
             and len(self) * len(pts) > _SCAN_THRESHOLD
         ):
             return _exponential_scan_eval(self, pts[:, 0])
-        return cross_kernel_matrix(self.kernel, pts, self.centers) @ self.coefficients
+        return self.kernel.pairwise(pts, self.centers) @ self.coefficients
 
     @cached_property
     def _squared_norm(self) -> float:
@@ -327,19 +320,11 @@ def _exponential_scan_eval(f: KernelExpansion, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def rkhs_norm(f: KernelExpansion) -> float:
-    return f.rkhs_norm()
-
-
-def sup_norm_bound(f: KernelExpansion) -> float:
-    return f.sup_norm_bound()
-
-
 def grid_sup_estimate(f: KernelExpansion, total_points: int = 10_000) -> float:
     """Grid-scan lower estimate of ||f||_inf (diagnostic only).
 
-    Never exceeds :func:`sup_norm_bound`; the gap measures the slack of the
-    certified bound.
+    Never exceeds :meth:`KernelExpansion.sup_norm_bound`; the gap measures
+    the slack of the certified bound.
     """
     per_dim = max(2, int(round(total_points ** (1.0 / f.kernel.dim))))
     grid = f.kernel.domain.uniform_grid(per_dim)

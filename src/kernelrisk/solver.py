@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .kernels import Kernel, KernelExpansion, as_points, kernel_matrix
-from .losses import LossSpec, loss_value
+from .losses import LossSpec, loss_subgradient, loss_value
 
 __all__ = [
     "TrainingSet",
@@ -105,24 +105,40 @@ class FitResult:
     method: str = ""
 
 
-def _data_term(spec: LossSpec, mu: float):
-    """Value / derivative of the (possibly smoothed) data loss vs predictions."""
-    alpha = spec.alpha
-    if alpha > 1.0:
-        def value(y, t):
-            return np.abs(y - t) ** alpha
+class _Objective:
+    """J(c) = lam c'Kc + sum_i w_i L(y_i, (Kc)_i) over expansion coefficients.
 
-        def deriv(y, t):
-            u = t - y
-            return alpha * np.abs(u) ** (alpha - 1.0) * np.sign(u)
-    else:
-        def value(y, t):
-            u = np.abs(y - t)
-            return np.where(u <= mu, u * u / (2.0 * mu), u - 0.5 * mu)
+    With mu > 0 (alpha = 1 only) the data term is the Huber smoothing of
+    |y - t| at level mu.  The certified gap of c is g'Kg / (4 lam), where g
+    is the coefficient gradient.
+    """
 
-        def deriv(y, t):
-            return np.clip((t - y) / mu, -1.0, 1.0)
-    return value, deriv
+    def __init__(self, K, y, w, lam, spec: LossSpec, mu: float = 0.0):
+        self.K, self.y, self.w, self.lam = K, y, w, lam
+        self.spec, self.mu = spec, mu
+
+    def __call__(self, c, Kc=None):
+        """(J(c), Kc); pass Kc when it is already known."""
+        if Kc is None:
+            Kc = self.K @ c
+        if self.mu:
+            u = np.abs(self.y - Kc)
+            data = np.where(u <= self.mu, u * u / (2.0 * self.mu),
+                            u - 0.5 * self.mu)
+        else:
+            data = loss_value(self.spec, self.y, Kc)
+        return float(self.lam * c @ Kc + self.w @ data), Kc
+
+    def grad(self, c, Kc):
+        if self.mu:
+            deriv = np.clip((Kc - self.y) / self.mu, -1.0, 1.0)
+        else:
+            deriv = loss_subgradient(self.spec, self.y, Kc)
+        return 2.0 * self.lam * c + self.w * deriv
+
+    def gap(self, c, Kc):
+        g = self.grad(c, Kc)
+        return float(g @ (self.K @ g)) / (4.0 * self.lam)
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -166,13 +182,11 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
 
     if spec.alpha == 2.0 and cfg.method == "closed_form_quadratic":
         c = _spd_solve(_ridge_system(K, lam / w), y)
-        f = KernelExpansion(kernel, train.xs, c)
-        Kc = K @ c
-        obj = float(lam * c @ Kc + w @ (y - Kc) ** 2)
-        g = 2.0 * lam * c + w * 2.0 * (Kc - y)
-        gap = float(g @ (K @ g)) / (4.0 * lam)
-        return FitResult(f, obj, iterations=1, converged=True,
-                         certified_gap=gap, method=cfg.method)
+        J = _Objective(K, y, w, lam, spec)
+        obj, Kc = J(c)
+        return FitResult(KernelExpansion(kernel, train.xs, c), obj,
+                         iterations=1, converged=True,
+                         certified_gap=J.gap(c, Kc), method=cfg.method)
 
     return _fit_first_order(kernel, spec, K, y, w, cfg, train)
 
@@ -199,16 +213,7 @@ def _fit_first_order(kernel, spec, K, y, w, cfg, train) -> FitResult:
     mu = mus[-1] if alpha == 1.0 else 0.0
     for mu_level in mus:
         final_level = mu_level == mus[-1]
-        value, deriv = _data_term(spec, mu_level)
-
-        def J(cv, Kc=None):
-            if Kc is None:
-                Kc = K @ cv
-            return float(lam * cv @ Kc + w @ value(y, Kc)), Kc
-
-        def grad_coef(cv, Kc):
-            return 2.0 * lam * cv + w * deriv(y, Kc)
-
+        J = _Objective(K, y, w, lam, spec, mu_level)
         obj, Kc = J(c)
         tol = cfg.objective_tolerance * max(abs(obj), 1e-15)
         if not final_level:
@@ -224,8 +229,7 @@ def _fit_first_order(kernel, spec, K, y, w, cfg, train) -> FitResult:
             for pass_idx in range(30):
                 if iters >= cfg.max_iters:
                     break
-                g = grad_coef(c, Kc)
-                gap = float(g @ (K @ g)) / (4.0 * lam)
+                gap = J.gap(c, Kc)
                 if gap <= tol and not (force_first and pass_idx == 0):
                     break
                 u = y - Kc
@@ -252,8 +256,8 @@ def _fit_first_order(kernel, spec, K, y, w, cfg, train) -> FitResult:
 
         # Stage 2: accelerated descent in function space with backtracking.
         c, obj, Kc, gap, it2, converged = _accelerated_descent(
-            K, y, w, lam, value, deriv, c, obj, Kc, tol,
-            cfg.max_iters - iters, cfg.objective_tolerance)
+            J, c, obj, Kc, tol, cfg.max_iters - iters,
+            cfg.objective_tolerance)
         iters += it2
         mu = mu_level
         if iters >= cfg.max_iters:
@@ -261,37 +265,23 @@ def _fit_first_order(kernel, spec, K, y, w, cfg, train) -> FitResult:
 
     if alpha == 1.0:
         # Report the true (unsmoothed) objective of the returned iterate.
-        Kc = K @ c
-        obj = float(lam * c @ Kc + w @ np.abs(y - Kc))
+        obj, _ = _Objective(K, y, w, lam, spec)(c)
     f = KernelExpansion(kernel, train.xs, c)
     return FitResult(f, obj, iterations=iters, converged=converged,
                      certified_gap=gap, smoothing_used=mu,
                      method="proximal_first_order")
 
 
-def _accelerated_descent(K, y, w, lam, value, deriv, c, obj, Kc, tol,
-                         budget, rel_tol):
+def _accelerated_descent(J: _Objective, c, obj, Kc, tol, budget, rel_tol):
     """Nesterov-style descent on J with Armijo backtracking and restarts.
 
-    Returns the best iterate found; the certified gap is
-    g' K g / (4 lam) at that iterate.
+    Returns the best iterate found with its certified gap.
     """
-
-    def J(cv, Kcv=None):
-        if Kcv is None:
-            Kcv = K @ cv
-        return float(lam * cv @ Kcv + w @ value(y, Kcv)), Kcv
-
-    def grad(cv, Kcv):
-        return 2.0 * lam * cv + w * deriv(y, Kcv)
-
-    g = grad(c, Kc)
-    Kg = K @ g
-    gap = float(g @ Kg) / (4.0 * lam)
+    gap = J.gap(c, Kc)
     if gap <= tol or budget <= 0:
         return c, obj, Kc, gap, 0, gap <= tol
 
-    step = 1.0 / (2.0 * lam + 2.0)  # conservative first guess
+    step = 1.0 / (2.0 * J.lam + 2.0)  # conservative first guess
     c_prev = c.copy()
     best_c, best_obj, best_Kc = c.copy(), obj, Kc.copy()
     stall = 0
@@ -304,8 +294,8 @@ def _accelerated_descent(K, y, w, lam, value, deriv, c, obj, Kc, tol,
         beta = (theta - 1.0) / theta_new
         z = c + beta * (c - c_prev)
         obj_z, Kz = J(z)
-        gz = grad(z, Kz)
-        Kgz = K @ gz
+        gz = J.grad(z, Kz)
+        Kgz = J.K @ gz
         slope = float(gz @ Kgz)
         step *= 1.25
         while True:
@@ -325,8 +315,7 @@ def _accelerated_descent(K, y, w, lam, value, deriv, c, obj, Kc, tol,
         improved = best_obj - obj_cand
         if obj_cand < best_obj:
             best_c, best_obj, best_Kc = cand, obj_cand, Kcand
-        g = grad(best_c, best_Kc)
-        gap = float(g @ (K @ g)) / (4.0 * lam)
+        gap = J.gap(best_c, best_Kc)
         if gap <= tol:
             converged = True
             break

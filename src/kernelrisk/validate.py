@@ -35,10 +35,9 @@ from .bounds import (
 from .covering import CoveringEstimate
 from .data import DataModel, excess_l2_risk, excess_power_risk, generate, \
     trial_seed
-from .experiments import _solver_config
+from .experiments import empirical_min_risk
 from .kernels import Kernel, KernelExpansion
-from .losses import FiniteDistribution, calibration_inequality_factor, \
-    loss_value, minimal_inner_risk, power_loss
+from .losses import calibration_inequality_factor, loss_value, power_loss
 from .solver import SolverConfig, TrainingSet, fit
 
 __all__ = [
@@ -95,7 +94,7 @@ def _trial_excess(model, kernel, alpha, lam, n, seed_index, master_seed,
     data_seed, mc_seed = ss.spawn(2)
     train = generate(model, n, data_seed)
     result = fit(kernel, power_loss(alpha), train,
-                 _solver_config(alpha, lam, solver_tolerance))
+                 SolverConfig(lam=lam, objective_tolerance=solver_tolerance))
     if alpha == 2.0:
         return excess_l2_risk(model, result.f, eval_budget=eval_budget)
     value, _ = excess_power_risk(model, result.f, alpha, mc_points, mc_seed)
@@ -259,21 +258,6 @@ def variance_bound_check(model: DataModel, alpha: float,
                                rows=tuple(rows), all_passed=all_passed)
 
 
-def _weighted_min_risk(spec, xs, ys, weights) -> float:
-    """Minimal risk of a finite discrete distribution: per-input conditional
-    minima, weighted by the marginal mass of each input."""
-    ux, inverse = np.unique(xs, axis=0, return_inverse=True)
-    total = 0.0
-    for g in range(len(ux)):
-        mask = inverse == g
-        if np.count_nonzero(mask) == 1:
-            continue  # a single atom is matched exactly
-        _, val = minimal_inner_risk(spec, FiniteDistribution(ys[mask],
-                                                             weights[mask]))
-        total += float(weights[mask].sum()) * val
-    return total
-
-
 @dataclass(frozen=True)
 class CostGapCheckReport:
     trials: int
@@ -325,11 +309,10 @@ def discrete_cost_gap_check(kernel: Kernel, trials: int = 100,
         alpha = float(rng.choice(alphas))
         lam = float(10.0 ** rng.uniform(-2, 0))
         spec = power_loss(alpha)
-        method = ("closed_form_quadratic" if alpha == 2.0
-                  else "proximal_first_order")
-        result = fit(kernel, spec, TrainingSet(xs, ys),
-                     SolverConfig(lam=lam, method=method,
-                                  objective_tolerance=1e-12), weights=weights)
+        train = TrainingSet(xs, ys)
+        result = fit(kernel, spec, train,
+                     SolverConfig(lam=lam, objective_tolerance=1e-12),
+                     weights=weights)
         f_opt = result.f
 
         k = int(rng.integers(1, 6))
@@ -347,7 +330,7 @@ def discrete_cost_gap_check(kernel: Kernel, trials: int = 100,
         g = cost_f_points - cost_opt_points
         cost_opt = float(weights @ cost_opt_points)
         excess = float(weights @ g)
-        approx = cost_opt - _weighted_min_risk(spec, xs, ys, weights)
+        approx = cost_opt - empirical_min_risk(spec, train, weights)
         if excess < 0.0:
             if excess < -1e-8:
                 skipped += 1

@@ -103,6 +103,18 @@ class TestCommands:
         assert lines[0] == "n,mean_excess_l2,stderr"
         assert len(lines) == 3
 
+    def test_two_dim_domain_rates_and_oracle(self, capsys):
+        model = ["--kernel-family", "gaussian", "--domain", "0,0;1,1"]
+        assert main(["rates", "run", *model, "--trials", "2",
+                     "--n-grid", "100,200"]) == 0
+        assert main(["covering", "fit", *model]) == 0
+        covering = capsys.readouterr().out
+        assert main(["validate", "oracle", *model, "--n", "100",
+                     "--trials", "50", "--mc-points", "5000"]) == 0
+        oracle = capsys.readouterr().out
+        exponent = covering.split("exponent=")[1].split()[0]
+        assert f"exponent={exponent}\n" in oracle
+
     def test_validate_variance_exit_code(self, capsys):
         code = main(["validate", "variance", "--alpha", "1.5",
                      "--functions", "3", "--mc-points", "5000", "--seed", "2"])

@@ -40,6 +40,15 @@ class TestEmpiricalMinRisk:
         val = empirical_min_risk(power_loss(2.0), train)
         assert val == pytest.approx((2 / 3) * 0.16, abs=1e-9)
 
+    def test_weighted_repeated_inputs(self):
+        # the duplicated input carries mass 0.5 + 0.25 = 0.75 with conditional
+        # weights (2/3, 1/3) on targets {0.4, -0.2}: mean 0.2, weighted
+        # variance (2/3) 0.2^2 + (1/3) 0.4^2 = 0.08, so the minimum is 0.06
+        train = TrainingSet([[0.5], [0.5], [0.9]], [0.4, -0.2, 0.2])
+        val = empirical_min_risk(power_loss(2.0), train,
+                                 weights=np.array([0.5, 0.25, 0.25]))
+        assert val == pytest.approx(0.75 * 0.08, abs=1e-9)
+
 
 class TestRunTrial:
     def test_bit_reproducible(self):

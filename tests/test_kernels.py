@@ -12,12 +12,9 @@ from kernelrisk.kernels import (
     Kernel,
     KernelExpansion,
     combine_expansions,
-    cross_kernel_matrix,
     grid_sup_estimate,
     kernel_from_config,
     kernel_matrix,
-    rkhs_norm,
-    sup_norm_bound,
     zero_expansion,
     _exponential_scan_eval,
 )
@@ -128,7 +125,7 @@ class TestExpansion:
     def test_zero_coefficients_evaluate_to_zero(self):
         f = KernelExpansion(gaussian(), [[0.2]], [0.0])
         assert f(0.7) == 0.0
-        assert rkhs_norm(f) == 0.0
+        assert f.rkhs_norm() == 0.0
 
     def test_reproducing_value_at_center(self):
         f = KernelExpansion(gaussian(), [[0.25]], [1.0])
@@ -141,11 +138,11 @@ class TestExpansion:
 
     def test_norm_single_center(self):
         f = KernelExpansion(gaussian(), [[0.0]], [2.0])
-        np.testing.assert_allclose(rkhs_norm(f), 2.0)
+        np.testing.assert_allclose(f.rkhs_norm(), 2.0)
 
     def test_norm_cancellation(self):
         f = KernelExpansion(gaussian(), [[0.3], [0.3]], [1.0, -1.0])
-        assert rkhs_norm(f) <= 1e-7
+        assert f.rkhs_norm() <= 1e-7
 
     def test_indefinite_quadratic_form_raises(self):
         f = KernelExpansion(gaussian(), [[0.3], [0.6]], [1.0, 3e3])
@@ -174,7 +171,7 @@ class TestExpansion:
                 rng.uniform(-1, 1, size=(m, 1)),
                 rng.normal(size=m),
             )
-            assert grid_sup_estimate(f) <= sup_norm_bound(f) + 1e-9
+            assert grid_sup_estimate(f) <= f.sup_norm_bound() + 1e-9
 
     def test_triangle_inequality_for_sums(self):
         rng = np.random.default_rng(5)
@@ -183,7 +180,7 @@ class TestExpansion:
             f = KernelExpansion(k, rng.uniform(-1, 1, (3, 1)), rng.normal(size=3))
             g = KernelExpansion(k, rng.uniform(-1, 1, (4, 1)), rng.normal(size=4))
             s = combine_expansions(f, g)
-            assert rkhs_norm(s) <= rkhs_norm(f) + rkhs_norm(g) + 1e-9
+            assert s.rkhs_norm() <= f.rkhs_norm() + g.rkhs_norm() + 1e-9
 
     def test_combine_requires_same_kernel(self):
         f = KernelExpansion(gaussian(0.5), [[0.0]], [1.0])
@@ -194,7 +191,7 @@ class TestExpansion:
     def test_zero_expansion(self):
         z = zero_expansion(gaussian())
         assert len(z) == 0
-        assert rkhs_norm(z) == 0.0
+        assert z.rkhs_norm() == 0.0
         np.testing.assert_array_equal(z([[0.1], [0.2]]), [0.0, 0.0])
         f = KernelExpansion(gaussian(), [[0.1]], [2.0])
         s = combine_expansions(z, f, b=0.5)
@@ -213,7 +210,7 @@ class TestScanEvaluation:
         m = 300
         f = KernelExpansion(k, rng.uniform(-1, 1, (m, 1)), rng.normal(size=m))
         x = rng.uniform(-1, 1, 500)
-        direct = cross_kernel_matrix(k, x, f.centers) @ f.coefficients
+        direct = k.pairwise(x, f.centers) @ f.coefficients
         scan = _exponential_scan_eval(f, x)
         np.testing.assert_allclose(scan, direct, rtol=1e-11, atol=1e-12)
 
@@ -225,5 +222,5 @@ class TestScanEvaluation:
         k = exponential(0.4)
         f = KernelExpansion(k, rng.uniform(-1, 1, (40, 1)), rng.normal(size=40))
         x = rng.uniform(-1, 1, 37)
-        direct = cross_kernel_matrix(k, x, f.centers) @ f.coefficients
+        direct = k.pairwise(x, f.centers) @ f.coefficients
         np.testing.assert_allclose(f(x), direct, rtol=1e-11, atol=1e-12)

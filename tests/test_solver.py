@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kernelrisk.kernels import Box, Kernel, KernelExpansion, rkhs_norm
+from kernelrisk.kernels import Box, Kernel, KernelExpansion
 from kernelrisk.losses import power_loss, hinge_loss
 from kernelrisk.solver import (
     FitResult,
@@ -169,7 +169,7 @@ class TestSolverInvariants:
                 train = random_train(rng, 40)
                 res = fit(EXPO, power_loss(alpha), train,
                           SolverConfig(lam=lam, method=method))
-                assert rkhs_norm(res.f) <= lam ** -0.5 + 1e-6
+                assert res.f.rkhs_norm() <= lam ** -0.5 + 1e-6
 
     def test_norm_monotone_in_lambda(self):
         rng = np.random.default_rng(8)
@@ -178,8 +178,8 @@ class TestSolverInvariants:
             method = ("closed_form_quadratic" if alpha == 2.0
                       else "proximal_first_order")
             norms = [
-                rkhs_norm(fit(EXPO, power_loss(alpha), train,
-                              SolverConfig(lam=lam, method=method)).f)
+                fit(EXPO, power_loss(alpha), train,
+                    SolverConfig(lam=lam, method=method)).f.rkhs_norm()
                 for lam in (0.01, 0.03, 0.1, 0.3, 1.0)
             ]
             diffs = np.diff(norms)
