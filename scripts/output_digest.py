@@ -1,10 +1,23 @@
 """SHA-256 digests of a fixed list of seeded kernelrisk outputs.
 
-Two checkouts that print the same ``all`` digest produce byte-identical
-results for every call below, so a refactor can be checked for unchanged
-behaviour by running this script on both and comparing the output:
+Two checkouts that print the same ``all`` digest, under the same copy of
+this script, produce byte-identical results for every call below, so a
+refactor can be checked for unchanged behaviour by running this script on
+both and comparing the output:
 
     PYTHONPATH=src python3 scripts/output_digest.py
+
+A change that only moves rounding is checked value by value instead: dump
+the outputs of one checkout and compare the other against the dump,
+
+    PYTHONPATH=src python3 scripts/output_digest.py --dump before.json
+    PYTHONPATH=src python3 scripts/output_digest.py --against before.json
+
+which passes when every group is byte-identical or when ints, bools and
+strings are equal and floats agree within 1e-12 relative.  Text output (CLI
+stdout, CSV and JSON files) is compared token by token: the numbers in it
+as numbers, the text between them as equal strings.  The exit code is
+nonzero when a group differs.
 
 The list covers 80 fits (alpha in {1, 1.1, 1.5, 1.9, 2}, both solver
 methods, weighted and unweighted, 1-d Matern and 2-d Gaussian kernels, two
@@ -20,10 +33,15 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
+import json
+import math
+import re
+import sys
 import tempfile
 
 import numpy as np
@@ -53,38 +71,89 @@ def model_for(kernel: Kernel, norm: float = 0.5) -> DataModel:
     return DataModel(truth, UniformNoise(0.5))
 
 
-def encode(obj, out: list) -> None:
-    """Append an exact, type-tagged byte encoding of ``obj`` to ``out``."""
+# Relative agreement asked of a float that a change may round differently.
+RTOL = 1e-12
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def leaves(obj, path: str, out: list) -> None:
+    """Append [path, value] for every scalar in ``obj``, with a type tag for
+    every dataclass, array and sequence, so the list fixes ``obj`` exactly."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out.append(type(obj).__name__.encode())
+        out.append([path, type(obj).__name__])
         for fld in dataclasses.fields(obj):
-            out.append(fld.name.encode())
-            encode(getattr(obj, fld.name), out)
+            leaves(getattr(obj, fld.name), f"{path}.{fld.name}", out)
     elif isinstance(obj, np.ndarray):
-        out.append(f"nd{obj.dtype}{obj.shape}".encode())
-        out.append(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, (float, np.floating)):
-        out.append(b"f" + float(obj).hex().encode())
+        out.append([path, f"nd{obj.dtype}{obj.shape}"])
+        for i, value in enumerate(obj.ravel().tolist()):
+            out.append([f"{path}[{i}]", value])
     elif isinstance(obj, (tuple, list)):
-        out.append(f"seq{len(obj)}".encode())
-        for item in obj:
-            encode(item, out)
+        out.append([path, len(obj)])
+        for i, item in enumerate(obj):
+            leaves(item, f"{path}[{i}]", out)
     elif isinstance(obj, dict):
         for key in sorted(obj):
-            encode(key, out)
-            encode(obj[key], out)
+            leaves(obj[key], f"{path}.{key}", out)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append([path, bool(obj)])
+    elif isinstance(obj, (int, np.integer)):
+        out.append([path, int(obj)])
+    elif isinstance(obj, (float, np.floating)):
+        out.append([path, float(obj)])
+    elif obj is None or isinstance(obj, str):
+        out.append([path, obj])
     else:
-        out.append(f"{type(obj).__name__}:{obj!r}".encode())
+        out.append([path, f"{type(obj).__name__}:{obj!r}"])
 
 
-def digest(obj) -> str:
-    parts: list = []
-    encode(obj, parts)
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(len(p).to_bytes(8, "little"))
-        h.update(p)
-    return h.hexdigest()
+def float_gap(a: float, b: float) -> float:
+    """Relative difference of two floats; NaN matches only NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def gap(a, b) -> float:
+    """Largest relative difference between the floats of two leaf values:
+    0 when equal, inf when anything but a float differs."""
+    if type(a) is not type(b):
+        return math.inf
+    if isinstance(a, float):
+        return float_gap(a, b)
+    if not isinstance(a, str):
+        return 0.0 if a == b else math.inf
+    ta, tb = NUMBER.split(a), NUMBER.split(b)
+    if len(ta) != len(tb):
+        return math.inf
+    worst = 0.0
+    for i, (x, y) in enumerate(zip(ta, tb)):
+        if i % 2 == 1 and re.search(r"[.eE]", x + y):
+            worst = max(worst, float_gap(float(x), float(y)))
+        elif x != y:
+            return math.inf
+    return worst
+
+
+def compare(name: str, mine: list, theirs: list) -> tuple[str | None, float]:
+    """(first value outside RTOL or None, largest relative float difference)."""
+    if len(mine) != len(theirs):
+        return f"{len(mine)} values against {len(theirs)}", math.inf
+    worst = 0.0
+    for (path, a), (other, b) in zip(mine, theirs):
+        if path != other:
+            return f"value {path} against {other}", math.inf
+        g = gap(a, b)
+        if not g <= RTOL:
+            return f"{name}{path}: {a!r} against {b!r}", g
+        worst = max(worst, g)
+    return None, worst
+
+
+def digest(values: list) -> str:
+    """SHA-256 of a leaf list; floats enter by repr, which round-trips."""
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
 
 def fits() -> list:
@@ -136,7 +205,17 @@ def cli_runs() -> list:
     return outputs
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--dump", metavar="PATH",
+                    help="write every output value and group digest here")
+    ap.add_argument("--against", metavar="PATH",
+                    help="compare with a dump written by --dump")
+    args = ap.parse_args(argv)
+    reference = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            reference = json.load(fh)
     m1 = model_for(MATERN)
     groups = {
         "fits": fits,
@@ -157,12 +236,33 @@ def main() -> None:
         "cli": cli_runs,
     }
     total = hashlib.sha256()
+    dump = {}
+    failed = False
     for name, make in groups.items():
-        d = digest(make())
+        values: list = []
+        leaves(make(), "", values)
+        d = digest(values)
         total.update(d.encode())
-        print(f"{name:26s} {d}")
+        dump[name] = {"digest": d, "values": values}
+        verdict = ""
+        if reference is not None:
+            theirs = reference[name]
+            if theirs["digest"] == d:
+                verdict = "  byte-identical"
+            else:
+                # a JSON round trip, so both sides hold the same types
+                problem, worst = compare(
+                    name, json.loads(json.dumps(values)), theirs["values"])
+                failed = failed or problem is not None
+                verdict = f"  DIFFERS {problem}" if problem else \
+                    f"  within {RTOL:g} relative (largest {worst:.2g})"
+        print(f"{name:26s} {d}{verdict}")
     print(f"{'all':26s} {total.hexdigest()}")
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            json.dump(dump, fh)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

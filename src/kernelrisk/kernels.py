@@ -234,9 +234,15 @@ def kernel_matrix(kernel: Kernel, points) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-# Above this many kernel evaluations, expansion evaluation switches to the
-# exact O(n log n) prefix-scan path when one exists for the kernel family.
+# Above this many kernel evaluations (n centers times m points), expansion
+# evaluation and the norm switch to the exact exponential-kernel scan when the
+# kernel is the 1-d exponential one: O(n + m) after an O(n log n) sort of the
+# centers.
 _SCAN_THRESHOLD = 1 << 14
+# Exponent span of one block of the scan's partial sums.  The end of a block,
+# s_lo + span * l, rounds up by at most span * l itself, so no exponent inside
+# a block exceeds twice this: far below exp's overflow at 709.
+_BLOCK_SPAN = 256.0
 
 
 @dataclass(frozen=True)
@@ -267,21 +273,28 @@ class KernelExpansion:
         pts = as_points(x, self.kernel.dim)
         if not len(self):
             return np.zeros(len(pts))
-        if (
-            self.kernel.family == "matern"
-            and self.kernel.dim == 1
-            and abs(self.kernel.nu - 0.5) < 1e-12
-            and len(self) * len(pts) > _SCAN_THRESHOLD
-        ):
+        if self._uses_scan(len(pts)):
             return _exponential_scan_eval(self, pts[:, 0])
         return self.kernel.pairwise(pts, self.centers) @ self.coefficients
+
+    def _uses_scan(self, points: int) -> bool:
+        kernel = self.kernel
+        return (kernel.family == "matern" and kernel.dim == 1
+                and abs(kernel.nu - 0.5) < 1e-12
+                and len(self) * points > _SCAN_THRESHOLD)
 
     @cached_property
     def _squared_norm(self) -> float:
         if not len(self):
             return 0.0
-        K = self.kernel.pairwise(self.centers, self.centers)
-        q = float(self.coefficients @ (K @ self.coefficients))
+        if self._uses_scan(len(self)):
+            # sum_k c_k f(s_k), where f(s_k) = L_k + R_k - c_k counts the
+            # center itself once
+            _, c, left, right = _exponential_partial_sums(self)
+            q = float(c @ (left + right - c))
+        else:
+            K = self.kernel.pairwise(self.centers, self.centers)
+            q = float(self.coefficients @ (K @ self.coefficients))
         if q < _NORM_CLAMP:
             raise IndefiniteGramError(f"quadratic form c'Kc = {q} < {_NORM_CLAMP}")
         return max(q, 0.0)
@@ -295,28 +308,118 @@ class KernelExpansion:
         return self.rkhs_norm()
 
 
-def _exponential_scan_eval(f: KernelExpansion, x: np.ndarray) -> np.ndarray:
-    """Exact evaluation of a 1-d exponential-kernel expansion in O(n log n).
+def _exponential_partial_sums(f: KernelExpansion):
+    """Sorted centers s, their coefficients c and the partial sums
 
-    Splits sum_i c_i exp(-|x - x_i| / l) at x into left and right partial
-    sums, each a prefix sum of exponentially reweighted coefficients.
+        L_k = sum_{j <= k} c_j exp(-(s_k - s_j) / l),
+        R_k = sum_{j >= k} c_j exp(-(s_j - s_k) / l)
+
+    of a 1-d exponential-kernel expansion; tied centers count on both sides
+    in sorted order.
     """
     ell = f.kernel.length_scale
-    cs = f.centers[:, 0]
-    order = np.argsort(cs, kind="stable")
-    cs = cs[order]
-    co = f.coefficients[order]
-    # Shift exponents by the box midpoint to keep intermediates moderate.
-    mid = 0.5 * (cs[0] + cs[-1])
-    left = np.cumsum(co * np.exp((cs - mid) / ell))
-    right = np.cumsum((co * np.exp(-(cs - mid) / ell))[::-1])[::-1]
-    idx = np.searchsorted(cs, x, side="right")
-    n = len(cs)
-    out = np.zeros_like(x, dtype=float)
-    has_left = idx > 0
-    out[has_left] = left[idx[has_left] - 1] * np.exp(-(x[has_left] - mid) / ell)
-    has_right = idx < n
-    out[has_right] += right[idx[has_right]] * np.exp((x[has_right] - mid) / ell)
+    order = np.argsort(f.centers[:, 0], kind="stable")
+    s = f.centers[order, 0]
+    c = f.coefficients[order]
+    left = _left_sums(s, c, ell)
+    right = _left_sums(-s[::-1], c[::-1], ell)[::-1]
+    return s, c, left, right
+
+
+def _left_sums(s: np.ndarray, c: np.ndarray, ell: float) -> np.ndarray:
+    """L_k = sum_{j <= k} c_j exp(-(s_k - s_j) / ell) for nondecreasing s.
+
+    The centers within _BLOCK_SPAN * ell of a block's first center are summed
+    at once against that center.  The last sum of a block carries into the
+    next through the one ratio exp(-(s_lo - s_{lo-1}) / ell), as in the
+    recursion L_k = c_k + L_{k-1} exp(-(s_k - s_{k-1}) / ell), so every
+    exponent stays bounded whatever the length scale.
+    """
+    n = len(s)
+    out = np.empty(n)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(s, s[lo] + _BLOCK_SPAN * ell, side="right"))
+        decay = np.exp((s[lo] - s[lo:hi]) / ell)
+        carry = out[lo - 1] * math.exp((s[lo - 1] - s[lo]) / ell) if lo else 0.0
+        out[lo:hi] = decay * (carry + np.cumsum(c[lo:hi] / decay))
+        lo = hi
+    return out
+
+
+def _locate(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(s, x, side="right") for sorted s and any non-NaN x.
+
+    A uniform table of 4n buckets over [s_0, s_{n-1}] gives the number of
+    centers in the buckets before x's bucket, and a branch-free binary search
+    over the centers of x's own bucket adds those <= x.  The bucket key is
+    nondecreasing in its argument, so every center in an earlier bucket is
+    below x and every center in a later one above it, ties included.  The
+    search takes log2 of the fullest bucket's count in steps over all m
+    points: a step or two for evenly spread centers, log2(n) at worst.
+    """
+    n = len(s)
+    buckets = 4 * n
+    span = s[-1] - s[0]
+    scale = buckets / span if span > 0 else 0.0
+
+    def bucket(v):
+        key = v - s[0]
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN ...
+            key *= scale
+        np.fmax(key, 0.0, out=key)  # ... and fmax sends NaN to bucket 0
+        np.fmin(key, buckets - 1, out=key)
+        return key.astype(np.intp)
+
+    first = np.searchsorted(bucket(s), np.arange(buckets + 1))
+    depth = int(np.max(np.diff(first))).bit_length()
+    # NaN padding compares false, so the search never runs past the centers
+    padded = np.concatenate((s, np.full(1 << depth, np.nan)))
+    probe = bucket(x)
+    idx = first.take(probe)
+    # Buffers are reused: a fresh array of m values costs more than the
+    # arithmetic on it.  Probes are always in range; mode="clip" only spares
+    # take a copy of its output.
+    value = np.empty(len(x))
+    hit = np.empty(len(x), dtype=bool)
+    for k in reversed(range(depth)):
+        step = 1 << k
+        np.add(idx, step - 1, out=probe)
+        padded.take(probe, out=value, mode="clip")
+        np.less_equal(value, x, out=hit)
+        np.multiply(hit, step, out=probe)
+        idx += probe
+    return idx
+
+
+def _exponential_scan_eval(f: KernelExpansion, x: np.ndarray) -> np.ndarray:
+    """Exact evaluation of a 1-d exponential-kernel expansion.
+
+    With the centers sorted and i = #{k : s_k <= x},
+
+        f(x) = L_{i-1} exp(-(x - s_{i-1}) / l) + R_i exp(-(s_i - x) / l),
+
+    where L and R are the partial sums of :func:`_exponential_partial_sums`.
+    Both exponents are <= 0, so no length scale overflows.  After the
+    O(n log n) sort of the n centers the cost is O(n + m) for m points, up
+    to the depth of :func:`_locate`'s search.
+    """
+    ell = f.kernel.length_scale
+    s, _, left, right = _exponential_partial_sums(f)
+    i = _locate(s, x)
+    # Centers at -inf and +inf with zero sums stand in for a missing side.
+    # The arithmetic runs in place: fresh arrays of m values are slow.
+    out = np.concatenate(([-np.inf], s)).take(i)
+    out -= x
+    out /= ell
+    np.exp(out, out=out)
+    out *= np.concatenate(([0.0], left)).take(i)
+    part = np.concatenate((s, [np.inf])).take(i)
+    np.subtract(x, part, out=part)
+    part /= ell
+    np.exp(part, out=part)
+    part *= np.concatenate((right, [0.0])).take(i)
+    out += part
     return out
 
 

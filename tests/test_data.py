@@ -12,6 +12,7 @@ from kernelrisk.data import (
     excess_power_risk,
     generate,
     trial_seed,
+    _quadrature_nodes,
 )
 from kernelrisk.kernels import Box, Kernel, KernelExpansion, combine_expansions
 
@@ -188,3 +189,26 @@ class TestExcessRisks:
         direct = excess_l2_risk(model, f)
         assert direct == pytest.approx(excess_l2_risk(model, lambda p: f(p)),
                                        rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+    def test_expansion_matches_two_evaluations(self, alpha):
+        # an expansion over the model's kernel is measured through the single
+        # expansion f - f*; the result must match evaluating f and f* apart
+        model = make_model()
+        rng = np.random.default_rng(15)
+        f = KernelExpansion(KERN, rng.uniform(0, 1, (200, 1)),
+                            0.02 * rng.standard_normal(200))
+        nodes, weights = _quadrature_nodes(model, f, 16384)
+        diff = f(nodes) - model.f_star(nodes)
+        l2 = float(np.sum(weights * diff * diff))
+        assert excess_l2_risk(model, f) == pytest.approx(l2, rel=1e-12)
+
+        m, seed = 50_000, 16
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0, 1, size=(m, 1))
+        truth = model.f_star(xs)
+        ys = truth + model.noise.sample(rng, m)
+        g = np.abs(ys - f(xs)) ** alpha - np.abs(ys - truth) ** alpha
+        est, se = excess_power_risk(model, f, alpha, m, seed)
+        assert est == pytest.approx(g.mean(), rel=1e-12)
+        assert se == pytest.approx(g.std() / np.sqrt(m), rel=1e-12)

@@ -17,6 +17,7 @@ from kernelrisk.kernels import (
     kernel_matrix,
     zero_expansion,
     _exponential_scan_eval,
+    _locate,
 )
 
 UNIT = Box((0.0,), (1.0,))
@@ -224,3 +225,64 @@ class TestScanEvaluation:
         x = rng.uniform(-1, 1, 37)
         direct = k.pairwise(x, f.centers) @ f.coefficients
         np.testing.assert_allclose(f(x), direct, rtol=1e-11, atol=1e-12)
+
+    def test_no_overflow_at_short_length_scale(self):
+        # absolute exponents exp(+-(x - mid) / l) overflowed here: 711 NaN
+        k = exponential(2e-4, box=UNIT)
+        rng = np.random.default_rng(0)
+        f = KernelExpansion(k, rng.uniform(0, 1, (200, 1)), rng.normal(size=200))
+        x = np.linspace(0, 1, 1000)
+        scan = _exponential_scan_eval(f, x)
+        assert not np.any(np.isnan(scan))
+        dense = np.concatenate([k.pairwise(chunk, f.centers) @ f.coefficients
+                                for chunk in np.array_split(x, 10)])
+        tol = 1e-12 * np.sum(np.abs(f.coefficients))
+        assert np.max(np.abs(scan - dense)) <= tol
+
+    @pytest.mark.parametrize("case", ["tied_centers", "at_centers",
+                                      "outside_span"])
+    def test_scan_edge_points(self, case):
+        rng = np.random.default_rng(4)
+        k = exponential(0.05)
+        centers = rng.uniform(-0.5, 0.5, 60)
+        x = rng.uniform(-0.5, 0.5, 200)
+        if case == "tied_centers":
+            centers = np.repeat(centers[:20], 3)
+            x = np.concatenate([x, centers])
+        elif case == "at_centers":
+            x = centers.copy()
+        else:
+            x = np.concatenate([np.linspace(-1, -0.5, 50),
+                                np.linspace(0.5, 1, 50)])
+        f = KernelExpansion(k, centers.reshape(-1, 1),
+                            rng.normal(size=len(centers)))
+        dense = k.pairwise(x, f.centers) @ f.coefficients
+        tol = 1e-12 * np.sum(np.abs(f.coefficients))
+        assert np.max(np.abs(_exponential_scan_eval(f, x) - dense)) <= tol
+
+    @pytest.mark.parametrize("kind", ["uniform", "tied", "clustered",
+                                      "single"])
+    def test_locate_matches_searchsorted(self, kind):
+        rng = np.random.default_rng(6)
+        s = {
+            "uniform": rng.uniform(0, 1, 200),
+            "tied": np.repeat(rng.uniform(0, 1, 30), 7),
+            # most centers crowd one bucket, so the search goes deep
+            "clustered": np.concatenate([rng.uniform(0, 1, 40),
+                                         0.5 + 1e-9 * rng.uniform(0, 1, 300)]),
+            "single": np.array([0.3]),
+        }[kind]
+        s = np.sort(s)
+        x = np.concatenate([rng.uniform(-0.5, 1.5, 5000), s, s + 1e-12,
+                            s - 1e-12, [-np.inf, np.inf]])
+        np.testing.assert_array_equal(_locate(s, x),
+                                      np.searchsorted(s, x, side="right"))
+
+    def test_scan_norm_matches_dense_quadratic_form(self):
+        rng = np.random.default_rng(8)
+        k = exponential(0.25, box=UNIT)
+        f = KernelExpansion(k, rng.uniform(0, 1, (1600, 1)),
+                            rng.normal(size=1600))
+        c = f.coefficients
+        dense = float(c @ (k.pairwise(f.centers, f.centers) @ c))
+        assert f.rkhs_norm() ** 2 == pytest.approx(dense, rel=1e-12)
