@@ -167,9 +167,9 @@ class FiniteDistribution:
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if len(v) != len(w) or len(v) == 0:
             raise ValueError("values and weights must be nonempty, same length")
-        if np.any(w < 0) or w.sum() <= 0:
+        if not (np.all(np.isfinite(w) & (w >= 0)) and w.sum() > 0):
             raise ValueError("weights must be nonnegative with positive sum")
-        if np.max(np.abs(v)) > 1.0 + 1e-12:
+        if not np.all(np.abs(v) <= 1.0 + 1e-12):
             raise ValueError("atoms must lie in [-1, 1]")
         w = w / w.sum()
         v.setflags(write=False)

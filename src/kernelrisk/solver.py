@@ -1,14 +1,16 @@
 """Empirical regularized risk minimization over a kernel's Hilbert space.
 
-Computes f minimizing lam ||f||_H^2 + sum_i w_i L(y_i, f(x_i)) over the span
-of the training inputs.  The restriction to that span is exact: the
+Computes f minimizing J(f) = lam ||f||_H^2 + sum_i w_i L(y_i, f(x_i)) over
+the span of the training inputs.  The restriction to that span is exact: the
 orthogonal complement cannot lower the data term and only inflates the
-regularizer.  The squared loss is solved in closed form through its normal
-equations; other power exponents go through a line-searched reweighting
-stage and an accelerated descent stage in function space, with a certified
-duality gap from the 2*lam strong convexity of the objective:
+regularizer.  Every power exponent takes one path: the ridge solve of the
+squared loss, then line-searched reweighted ridge passes until the Fenchel
+duality gap certifies the unsmoothed objective,
 
-    J(f) - J* <= ||grad J||_H^2 / (4 lam).
+    J(f) - min J <= J(f) - D(b)   for every dual point b,
+
+to the configured tolerance.  At alpha = 2 the ridge solve is the exact
+minimizer and no pass is taken.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .kernels import Kernel, KernelExpansion, as_points, kernel_matrix
-from .losses import LossSpec, loss_subgradient, loss_value
+from .losses import LossSpec, loss_value
 
 __all__ = [
     "TrainingSet",
@@ -32,14 +34,20 @@ __all__ = [
     "fit_result_record",
 ]
 
-# Continuation schedule for the alpha = 1 smoothing parameter.  The final
-# level keeps the smoothing bias (mu / 2) far below the 1e-8 scale at which
-# solutions are compared against analytic minimizers.
+# Residual floors mu of the alpha = 1 reweighting, 1 / (2 max(|u|, mu)).  A
+# pass at floor mu is a descent step on the Huber-mu smoothing of |u|, whose
+# minimizer has a true duality gap of at most mu / 4; the floor moves to the
+# next level once the gap is at most mu.
 _MU_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 # Residual-magnitude floor inside reweighting for alpha in (1, 2); keeps the
 # per-point curvature proxy |u|^(alpha-2) finite.
 _IRLS_FLOOR = 1e-9
+
+# Most reweighted ridge passes one fit takes, and the steps a pass tries
+# along its direction; a pass that no step lowers J by ends the fit.
+_MAX_PASSES = 5000
+_STEPS = tuple(0.5 ** k for k in range(21))
 
 
 class SolverError(RuntimeError):
@@ -61,10 +69,12 @@ class TrainingSet:
             xs = xs.reshape(-1, 1)
         if xs.ndim != 2:
             raise ValueError(f"xs must be (n, d), got shape {xs.shape}")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("inputs must be finite")
         ys = np.asarray(self.ys, dtype=float).reshape(-1).copy()
         if len(xs) != len(ys) or len(ys) == 0:
             raise ValueError("xs and ys must be nonempty with equal length")
-        if np.max(np.abs(ys)) > 1.0 + 1e-12:
+        if not np.all(np.abs(ys) <= 1.0 + 1e-12):
             raise ValueError("responses must lie in [-1, 1]; got "
                              f"max |y| = {np.max(np.abs(ys))}")
         xs.setflags(write=False)
@@ -80,25 +90,25 @@ class TrainingSet:
 @dataclass(frozen=True)
 class SolverConfig:
     lam: float
+    # Selects nothing (alpha does); kept for callers that still pass it.
     method: str = "closed_form_quadratic"
-    max_iters: int = 5000
     objective_tolerance: float = 1e-9  # relative certified-gap target
-    smoothing_mu: float | None = None  # explicit alpha=1 smoothing level
 
     def __post_init__(self):
         if not 0.0 < self.lam <= 1.0:
             raise ValueError("lam must lie in (0, 1]")
         if self.method not in ("closed_form_quadratic", "proximal_first_order"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.smoothing_mu is not None and self.smoothing_mu < 0:
-            raise ValueError("smoothing_mu must be nonnegative")
+        if not (math.isfinite(self.objective_tolerance)
+                and self.objective_tolerance > 0):
+            raise ValueError("objective_tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
 class FitResult:
     f: KernelExpansion
     objective: float
-    iterations: int
+    iterations: int  # ridge solves, the first one included
     converged: bool
     certified_gap: float
     smoothing_used: float = 0.0
@@ -106,39 +116,61 @@ class FitResult:
 
 
 class _Objective:
-    """J(c) = lam c'Kc + sum_i w_i L(y_i, (Kc)_i) over expansion coefficients.
+    """J(c) = lam c'Kc + sum_i w_i L(y_i, (Kc)_i) over expansion coefficients,
+    with L(y, t) = |y - t|^alpha unsmoothed for every alpha in [1, 2].
 
-    With mu > 0 (alpha = 1 only) the data term is the Huber smoothing of
-    |y - t| at level mu.  The certified gap of c is g'Kg / (4 lam), where g
-    is the coefficient gradient.
+    Its Fenchel dual (Steinwart & Christmann 2008, ch. 5) is
+
+        D(b) = b'y - b'Kb / (4 lam) - sum_i w_i L*(b_i / w_i),
+
+    with L*(s) = (alpha - 1) (|s| / alpha)^(alpha / (alpha - 1)) for
+    alpha > 1 and the indicator of [-1, 1] at alpha = 1.  Weak duality makes
+    J(c) - D(b) an upper bound on J(c) - min J for every b; the gap of c
+    takes b = 2 lam c, the dual point of the optimum, clipped to
+    |b_i| <= w_i at alpha = 1 so that it stays feasible.
     """
 
-    def __init__(self, K, y, w, lam, spec: LossSpec, mu: float = 0.0):
+    def __init__(self, K, y, w, lam, spec: LossSpec):
         self.K, self.y, self.w, self.lam = K, y, w, lam
-        self.spec, self.mu = spec, mu
+        self.spec = spec
 
     def __call__(self, c, Kc=None):
         """(J(c), Kc); pass Kc when it is already known."""
         if Kc is None:
             Kc = self.K @ c
-        if self.mu:
-            u = np.abs(self.y - Kc)
-            data = np.where(u <= self.mu, u * u / (2.0 * self.mu),
-                            u - 0.5 * self.mu)
-        else:
-            data = loss_value(self.spec, self.y, Kc)
+        data = loss_value(self.spec, self.y, Kc)
         return float(self.lam * c @ Kc + self.w @ data), Kc
 
-    def grad(self, c, Kc):
-        if self.mu:
-            deriv = np.clip((Kc - self.y) / self.mu, -1.0, 1.0)
-        else:
-            deriv = loss_subgradient(self.spec, self.y, Kc)
-        return 2.0 * self.lam * c + self.w * deriv
+    def change(self, c, Kc, d, Kd, t):
+        """J(c + t d) - J(c), without cancellation against J itself."""
+        data = (loss_value(self.spec, self.y, Kc + t * Kd)
+                - loss_value(self.spec, self.y, Kc))
+        return float(self.lam * t * (2.0 * c @ Kd + t * d @ Kd) + self.w @ data)
 
-    def gap(self, c, Kc):
-        g = self.grad(c, Kc)
-        return float(g @ (self.K @ g)) / (4.0 * self.lam)
+    def gap(self, c, Kc, obj):
+        """J(c) - D(b) at the dual point of c, clamped at 0; obj is J(c)."""
+        lam, w, alpha = self.lam, self.w, self.spec.alpha
+        b = 2.0 * lam * c
+        if alpha == 1.0:
+            b = np.clip(b, -w, w)
+            Kb, conj = self.K @ b, 0.0
+        else:
+            Kb = 2.0 * lam * Kc
+            conj = (alpha - 1.0) * float(
+                w @ (np.abs(b / w) / alpha) ** (alpha / (alpha - 1.0)))
+        dual = float(b @ self.y) - float(b @ Kb) / (4.0 * lam) - conj
+        return max(obj - dual, 0.0)
+
+
+def _normalized_weights(weights, n: int) -> np.ndarray:
+    """Sample weights as probability masses: 1/n each by default, otherwise
+    one finite positive weight per sample, scaled to sum 1."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if len(w) != n or not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be finite and positive, one per sample")
+    return w / w.sum()
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -165,165 +197,53 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     ``weights`` default to the empirical measure 1/n; passing explicit
     weights fits the regularized risk of a finite discrete distribution.
     Only power losses are trainable here.
+
+    Solves the ridge system (K + diag(lam / w)) c = y, then takes
+    line-searched reweighted ridge passes until the duality gap is at most
+    ``cfg.objective_tolerance`` times |J| at the ridge solution, the
+    ``converged`` test.  At alpha = 2 the ridge solution is the minimizer, so
+    no pass is needed.  A pass that does not lower J ends the fit.
     """
     if spec.kind != "power":
         raise ValueError("only power losses are trainable")
+    w = _normalized_weights(weights, train.n)
     K = kernel_matrix(kernel, train.xs)
-    y = train.ys
-    n = train.n
-    lam = cfg.lam
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if len(w) != n or np.any(w <= 0):
-            raise ValueError("weights must be positive, one per sample")
-        w = w / w.sum()
-
-    if spec.alpha == 2.0 and cfg.method == "closed_form_quadratic":
-        c = _spd_solve(_ridge_system(K, lam / w), y)
-        J = _Objective(K, y, w, lam, spec)
-        obj, Kc = J(c)
-        return FitResult(KernelExpansion(kernel, train.xs, c), obj,
-                         iterations=1, converged=True,
-                         certified_gap=J.gap(c, Kc), method=cfg.method)
-
-    return _fit_first_order(kernel, spec, K, y, w, cfg, train)
-
-
-def _fit_first_order(kernel, spec, K, y, w, cfg, train) -> FitResult:
-    lam = cfg.lam
-    n = len(y)
-    alpha = spec.alpha
-    if alpha == 1.0:
-        mus = (cfg.smoothing_mu,) if cfg.smoothing_mu else _MU_SCHEDULE
-    else:
-        mus = (0.0,)
-
-    if alpha < 2.0:
-        # Ridge warm start: cheap and always feasible (J decreases from here).
-        c = _spd_solve(_ridge_system(K, lam / w), y)
-    else:
-        c = np.zeros(n)
-
-    iters = 0
-    converged = False
-    gap = math.inf
-    obj = math.inf
-    mu = mus[-1] if alpha == 1.0 else 0.0
-    for mu_level in mus:
-        final_level = mu_level == mus[-1]
-        J = _Objective(K, y, w, lam, spec, mu_level)
-        obj, Kc = J(c)
-        tol = cfg.objective_tolerance * max(abs(obj), 1e-15)
-        if not final_level:
-            # Intermediate smoothing levels only need accuracy at the mu scale.
-            tol = max(tol, 0.05 * mu_level)
-
-        # Stage 1: safeguarded reweighted ridge passes (alpha < 2 only).
-        if alpha < 2.0:
-            # With smoothing continuation the certificate at the final level
-            # can already sit under tol while the iterate still carries the
-            # previous level's bias; always attempt one pass there.
-            force_first = alpha == 1.0 and final_level
-            for pass_idx in range(30):
-                if iters >= cfg.max_iters:
-                    break
-                gap = J.gap(c, Kc)
-                if gap <= tol and not (force_first and pass_idx == 0):
-                    break
-                u = y - Kc
-                if alpha > 1.0:
-                    omega = 0.5 * alpha * np.maximum(np.abs(u), _IRLS_FLOOR) ** (alpha - 2.0)
-                else:
-                    omega = 0.5 / np.maximum(np.abs(u), max(mu_level, 1e-12))
-                try:
-                    c_new = _spd_solve(_ridge_system(K, lam / (w * omega)), y)
-                except SolverError:
-                    break
-                step = 1.0
-                obj_new, Kc_new = J(c + step * (c_new - c))
-                while obj_new > obj - 1e-12 and step > 1e-6:
-                    step *= 0.5
-                    obj_new, Kc_new = J(c + step * (c_new - c))
-                iters += 1
-                if obj_new > obj - 1e-12:
-                    break
-                improve = obj - obj_new
-                c, obj, Kc = c + step * (c_new - c), obj_new, Kc_new
-                if improve < 0.1 * tol:
-                    break
-
-        # Stage 2: accelerated descent in function space with backtracking.
-        c, obj, Kc, gap, it2, converged = _accelerated_descent(
-            J, c, obj, Kc, tol, cfg.max_iters - iters,
-            cfg.objective_tolerance)
-        iters += it2
-        mu = mu_level
-        if iters >= cfg.max_iters:
+    y, lam, alpha = train.ys, cfg.lam, spec.alpha
+    J = _Objective(K, y, w, lam, spec)
+    c = _spd_solve(_ridge_system(K, lam / w), y)
+    obj, Kc = J(c)
+    tol = cfg.objective_tolerance * abs(obj)
+    floors = iter(_MU_SCHEDULE if alpha == 1.0 else (_IRLS_FLOOR,))
+    floor = next(floors)
+    passes = 0
+    while True:
+        gap = J.gap(c, Kc, obj)
+        if gap <= tol or passes == _MAX_PASSES:
             break
-
-    if alpha == 1.0:
-        # Report the true (unsmoothed) objective of the returned iterate.
-        obj, _ = _Objective(K, y, w, lam, spec)(c)
-    f = KernelExpansion(kernel, train.xs, c)
-    return FitResult(f, obj, iterations=iters, converged=converged,
-                     certified_gap=gap, smoothing_used=mu,
-                     method="proximal_first_order")
-
-
-def _accelerated_descent(J: _Objective, c, obj, Kc, tol, budget, rel_tol):
-    """Nesterov-style descent on J with Armijo backtracking and restarts.
-
-    Returns the best iterate found with its certified gap.
-    """
-    gap = J.gap(c, Kc)
-    if gap <= tol or budget <= 0:
-        return c, obj, Kc, gap, 0, gap <= tol
-
-    step = 1.0 / (2.0 * J.lam + 2.0)  # conservative first guess
-    c_prev = c.copy()
-    best_c, best_obj, best_Kc = c.copy(), obj, Kc.copy()
-    stall = 0
-    theta = 1.0
-    iters = 0
-    converged = False
-    while iters < budget:
-        iters += 1
-        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        beta = (theta - 1.0) / theta_new
-        z = c + beta * (c - c_prev)
-        obj_z, Kz = J(z)
-        gz = J.grad(z, Kz)
-        Kgz = J.K @ gz
-        slope = float(gz @ Kgz)
-        step *= 1.25
-        while True:
-            cand = z - step * gz
-            obj_cand, Kcand = J(cand, Kz - step * Kgz)
-            if obj_cand <= obj_z - 1e-4 * step * slope or step < 1e-18:
+        if gap <= floor:
+            floor = next(floors, floor)
+        # Weights of the quadratic majorizer of |u|^alpha at the residuals.
+        omega = 0.5 * alpha * np.maximum(np.abs(y - Kc), floor) ** (alpha - 2.0)
+        try:
+            d = _spd_solve(_ridge_system(K, lam / (w * omega)), y) - c
+        except SolverError:
+            break
+        passes += 1
+        Kd = K @ d
+        for step in _STEPS:
+            if J.change(c, Kc, d, Kd, step) < 0:
                 break
-            step *= 0.5
-        if obj_cand > best_obj:
-            # momentum overshoot: restart from the best point
-            c_prev = best_c.copy()
-            c = best_c.copy()
-            theta = 1.0
-            continue
-        c_prev, c = c, cand
-        theta = theta_new
-        improved = best_obj - obj_cand
-        if obj_cand < best_obj:
-            best_c, best_obj, best_Kc = cand, obj_cand, Kcand
-        gap = J.gap(best_c, best_Kc)
-        if gap <= tol:
-            converged = True
+        else:  # no step lowers J: the fit ends uncertified
             break
-        stall = stall + 1 if improved < rel_tol * max(abs(best_obj), 1e-15) else 0
-        if stall >= 10:
-            converged = True
-            break
-    return best_c, best_obj, best_Kc, gap, iters, converged
+        c = c + step * d
+        obj, Kc = J(c)
+
+    return FitResult(KernelExpansion(kernel, train.xs, c), obj,
+                     iterations=1 + passes, converged=gap <= tol,
+                     certified_gap=gap,
+                     smoothing_used=floor if alpha == 1.0 else 0.0,
+                     method=("closed_form_quadratic" if alpha == 2.0
+                             else "proximal_first_order"))
 
 
 def objective(kernel: Kernel, spec: LossSpec, train: TrainingSet, lam: float,
@@ -333,11 +253,7 @@ def objective(kernel: Kernel, spec: LossSpec, train: TrainingSet, lam: float,
     Evaluates f pointwise through its own expansion; serves as the
     independent check on :func:`fit`.
     """
-    if weights is None:
-        w = np.full(train.n, 1.0 / train.n)
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        w = w / w.sum()
+    w = _normalized_weights(weights, train.n)
     preds = f(train.xs)
     return float(lam * f.rkhs_norm() ** 2
                  + w @ loss_value(spec, train.ys, preds))

@@ -224,6 +224,15 @@ class TestInnerRisk:
         with pytest.raises(ValueError):
             FiniteDistribution([], [])
 
+    @pytest.mark.parametrize("values, weights", [
+        ([math.nan, 0.5], [1.0, 1.0]),
+        ([0.1, 0.5], [math.nan, 1.0]),
+        ([0.1, 0.5], [math.inf, 1.0]),
+    ])
+    def test_distribution_rejects_non_finite(self, values, weights):
+        with pytest.raises(ValueError):
+            FiniteDistribution(values, weights)
+
 
 class TestCalibration:
     def test_delta_max_values(self):

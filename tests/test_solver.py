@@ -34,6 +34,14 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             TrainingSet(np.zeros((0, 1)), [])
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([[0.1], [0.2], [0.5]], [np.nan, 0.0, 0.3]),
+        ([[np.nan], [0.2], [0.5]], [0.1, 0.0, 0.3]),
+    ])
+    def test_rejects_non_finite(self, xs, ys):
+        with pytest.raises(ValueError):
+            TrainingSet(xs, ys)
+
     def test_one_dim_coercion(self):
         t = TrainingSet([0.1, 0.2], [0.0, 0.5])
         assert t.xs.shape == (2, 1)
@@ -78,6 +86,24 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             SolverConfig(lam=1.5)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_objective_tolerance_out_of_range(self, tol):
+        with pytest.raises(ValueError):
+            SolverConfig(lam=0.1, objective_tolerance=tol)
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0]])
+    def test_rejects_bad_weights(self, weights):
+        train = TrainingSet([[0.1], [0.2], [0.5]], [0.4, 0.0, 0.3])
+        f = KernelExpansion(GAUSS, train.xs, np.ones(3))
+        for alpha in (1.5, 2.0):
+            with pytest.raises(ValueError):
+                fit(GAUSS, power_loss(alpha), train, SolverConfig(lam=0.1),
+                    weights=weights)
+            with pytest.raises(ValueError):
+                objective(GAUSS, power_loss(alpha), train, 0.1, f,
+                          weights=weights)
+
 
 class TestFirstOrder:
     def test_alpha_one_single_point_analytic(self):
@@ -110,6 +136,34 @@ class TestFirstOrder:
                   SolverConfig(lam=0.05, method="proximal_first_order"))
         assert res.converged
         assert res.certified_gap <= 1e-8 * max(1.0, res.objective)
+
+    @pytest.mark.parametrize("kernel", [EXPO, GAUSS], ids=["expo", "gauss"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.2, 1.5])
+    def test_certificate_is_honest(self, alpha, kernel):
+        # converged means the duality gap is within the tolerance relative to
+        # J at the ridge solution, and the gap bounds the unsmoothed
+        # objective's distance to its minimum (weak duality)
+        rng = np.random.default_rng(2)
+        train = random_train(rng, 25)
+        lam, spec = 0.05, power_loss(alpha)
+        cfg = SolverConfig(lam=lam)
+        res = fit(kernel, spec, train, cfg)
+        from kernelrisk.kernels import kernel_matrix
+
+        K = kernel_matrix(kernel, train.xs)
+        ridge = np.linalg.solve(K + train.n * lam * np.eye(train.n), train.ys)
+
+        def J(c):
+            Kc = K @ c
+            return lam * c @ Kc + np.mean(np.abs(train.ys - Kc) ** alpha)
+
+        assert res.certified_gap >= 0.0
+        assert res.converged == (
+            res.certified_gap <= cfg.objective_tolerance * abs(J(ridge)))
+        ref = fit(kernel, spec, train,
+                  SolverConfig(lam=lam, objective_tolerance=1e-14))
+        assert J(res.f.coefficients) - J(ref.f.coefficients) <= \
+            res.certified_gap + 1e-15
 
     def test_agreement_with_closed_form(self):
         rng = np.random.default_rng(3)
