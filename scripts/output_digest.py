@@ -19,9 +19,9 @@ stdout, CSV and JSON files) is compared token by token: the numbers in it
 as numbers, the text between them as equal strings.  The exit code is
 nonzero when a group differs.
 
-The list covers 80 fits (alpha in {1, 1.1, 1.5, 1.9, 2}, both solver
-methods, weighted and unweighted, 1-d Matern and 2-d Gaussian kernels, two
-sample sizes), run_trial, rate_experiment, oracle_probability_check,
+The list covers 40 fits (alpha in {1, 1.1, 1.5, 1.9, 2}, weighted and
+unweighted, 1-d Matern and 2-d Gaussian kernels, two sample sizes),
+run_trial, rate_experiment, oracle_probability_check,
 discrete_cost_gap_check, robustness_study, and the 1-d CLI runs
 ``fit --out``, ``rates run --csv``, ``covering fit --csv`` and
 ``validate oracle --csv`` (stdout, exit code and written file).  BLAS is
@@ -164,15 +164,11 @@ def fits() -> list:
             train = generate(model, n, 5)
             weights = np.random.default_rng(n).dirichlet(np.ones(n))
             for alpha in (1.0, 1.1, 1.5, 1.9, 2.0):
-                for method in ("closed_form_quadratic",
-                               "proximal_first_order"):
-                    cfg = SolverConfig(lam=0.05, method=method,
-                                       objective_tolerance=1e-8)
-                    for w in (None, weights):
-                        res = fit(kernel, power_loss(alpha), train, cfg,
-                                  weights=w)
-                        results.append(res)
-    assert len(results) == 80
+                cfg = SolverConfig(lam=0.05, objective_tolerance=1e-8)
+                for w in (None, weights):
+                    results.append(fit(kernel, power_loss(alpha), train, cfg,
+                                       weights=w))
+    assert len(results) == 40
     return results
 
 

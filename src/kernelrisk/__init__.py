@@ -36,7 +36,6 @@ from .losses import (
 from .solver import FitResult, SolverConfig, TrainingSet, fit, objective
 from .bounds import (
     BoundInputs,
-    RateSpec,
     l2_rate_exponent,
     oracle_epsilon_threshold,
     power_loss_epsilon_threshold,

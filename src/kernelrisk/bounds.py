@@ -24,7 +24,6 @@ from .losses import NotStrictlyConvexError
 
 __all__ = [
     "BoundInputs",
-    "RateSpec",
     "extended_power",
     "approx_error_bound",
     "oracle_epsilon_threshold",
@@ -361,27 +360,6 @@ def rate_zero_alpha_threshold(kappa: float, p: float) -> float:
     if not 0.0 < p < 2.0 or kappa <= 0:
         raise ValueError("needs p in (0, 2) and kappa > 0")
     return 2.0 - (kappa - 2.0 / (2.0 + p)) * (2.0 + p)
-
-
-@dataclass(frozen=True)
-class RateSpec:
-    """A lam = n^(-kappa) schedule with its covering and growth exponents."""
-
-    kappa: float
-    covering_exponent: float
-    alpha: float
-
-    def __post_init__(self):
-        _check_rate_args(self.kappa, self.covering_exponent, self.alpha,
-                         allow_two=True)
-
-    @property
-    def rho(self) -> float:
-        return l2_rate_exponent(self.kappa, self.covering_exponent, self.alpha)
-
-    @property
-    def optimal_kappa(self) -> float:
-        return 2.0 / (2.0 + self.covering_exponent)
 
 
 def _check_rate_args(kappa, p, alpha, allow_two):

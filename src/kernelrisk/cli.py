@@ -11,7 +11,8 @@ robustness run   contamination-vs-loss-exponent study
 
 A single declarative config file (``--config``, ``key = value`` lines)
 supplies defaults; explicit flags override it.  Validation subcommands exit
-nonzero when their check fails.
+nonzero when their check fails; invalid input exits with status 2 and a
+one-line usage error.
 """
 
 from __future__ import annotations
@@ -50,13 +51,17 @@ MODEL_DEFAULTS = {
 
 
 def parse_domain(text: str) -> Box:
-    parts = [p.strip() for p in str(text).split(";")]
-    if len(parts) == 1:
-        lo, hi = (float(v) for v in parts[0].split(","))
-        return Box((lo,), (hi,))
-    lower = tuple(float(v) for v in parts[0].split(","))
-    upper = tuple(float(v) for v in parts[1].split(","))
-    return Box(lower, upper)
+    """A box from "lo,hi" (one dimension) or "lo1,...;hi1,..." (any)."""
+    try:
+        parts = [tuple(float(v) for v in p.split(","))
+                 for p in str(text).split(";")]
+    except ValueError:
+        parts = []
+    if len(parts) == 1 and len(parts[0]) == 2:
+        return Box(parts[0][:1], parts[0][1:])
+    if len(parts) == 2:
+        return Box(*parts)
+    raise ValueError(f"domain {text!r} is neither lo,hi nor lo1,...;hi1,...")
 
 
 def build_kernel(opts: dict) -> Kernel:
@@ -425,8 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    file_values = parse_config_file(args.config) if args.config else {}
-    return args.func(args, file_values)
+    try:
+        file_values = parse_config_file(args.config) if args.config else {}
+        return args.func(args, file_values)
+    except ValueError as exc:  # bad flag values, config lines or domains
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -40,16 +40,14 @@ _ACTIVE_FRACTION_CAP = 0.5
 _RESIDUAL_CAP = 0.1
 
 
-def ellipsoid_semi_axes(gram: np.ndarray, n: int | None = None) -> np.ndarray:
+def ellipsoid_semi_axes(gram: np.ndarray) -> np.ndarray:
     """Descending semi-axes sqrt(mu_j / n) of the evaluated unit ball."""
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError("gram must be a square matrix")
-    if n is None:
-        n = gram.shape[0]
     mu = np.linalg.eigvalsh(gram)
     mu = np.clip(mu, 0.0, None)[::-1]
-    return np.sqrt(mu / n)
+    return np.sqrt(mu / gram.shape[0])
 
 
 def ellipsoid_log_covering(semi_axes: np.ndarray,
@@ -71,12 +69,12 @@ def ellipsoid_log_covering(semi_axes: np.ndarray,
     return lower, upper
 
 
-def default_delta_grid(semi_axes: np.ndarray, num: int = 16) -> np.ndarray:
+def default_delta_grid(semi_axes: np.ndarray) -> np.ndarray:
     """16 log-spaced deltas spanning [0.01 s_max, s_max]."""
     s_max = float(np.max(semi_axes))
     if s_max <= 0:
         raise ValueError("all semi-axes are zero")
-    return np.geomspace(0.01 * s_max, s_max, num)
+    return np.geomspace(0.01 * s_max, s_max, 16)
 
 
 @dataclass(frozen=True)
@@ -152,10 +150,7 @@ def fit_covering_exponent_from_axes(
                             residual, out_of_model, tuple(flags))
 
 
-def fit_covering_exponent(kernel: Kernel, sample_xs,
-                          delta_grid: np.ndarray | None = None
-                          ) -> CoveringEstimate:
+def fit_covering_exponent(kernel: Kernel, sample_xs) -> CoveringEstimate:
     """Covering growth law of the kernel's unit ball on one sample."""
     gram = kernel_matrix(kernel, sample_xs)
-    return fit_covering_exponent_from_axes(ellipsoid_semi_axes(gram),
-                                           delta_grid)
+    return fit_covering_exponent_from_axes(ellipsoid_semi_axes(gram))

@@ -139,7 +139,6 @@ class DataModel:
 
     f_star: KernelExpansion
     noise: UniformNoise | TruncatedGaussianNoise | ContaminatedNoise
-    name: str = ""
 
     def __post_init__(self):
         guard = self.f_star.sup_norm_bound() + self.noise.bound

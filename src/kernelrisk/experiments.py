@@ -188,8 +188,8 @@ class RateReport:
 def rate_experiment(model: DataModel, kernel: Kernel, alpha: float,
                     kappa: float, n_grid, trials_per_n: int, master_seed: int,
                     covering_exponent: float, log_factor: bool = False,
-                    solver_tolerance: float = 1e-7, mc_points: int = 0,
-                    eval_budget: int = 16384) -> RateReport:
+                    solver_tolerance: float = 1e-7,
+                    mc_points: int = 0) -> RateReport:
     """Train along lam = n^(-kappa) (optionally * log n) and fit the slope.
 
     The verdict compares the fitted log-log slope against the bracket
@@ -215,8 +215,7 @@ def rate_experiment(model: DataModel, kernel: Kernel, alpha: float,
                             seed_index=level * trials_per_n + t,
                             master_seed=master_seed,
                             solver_tolerance=solver_tolerance,
-                            measure_power=mc_points > 0, mc_points=mc_points,
-                            eval_budget=eval_budget)
+                            measure_power=mc_points > 0, mc_points=mc_points)
             records.append(rec)
             vals.append(rec.excess_l2)
         vals = np.asarray(vals)

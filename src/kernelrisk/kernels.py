@@ -67,10 +67,10 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(np.subtract(self.upper, self.lower)))
 
-    def contains(self, points: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = as_points(points, self.dim)
-        lo = np.asarray(self.lower) - atol
-        hi = np.asarray(self.upper) + atol
+        lo = np.asarray(self.lower) - 1e-9
+        hi = np.asarray(self.upper) + 1e-9
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
     def corners(self) -> np.ndarray:
@@ -423,13 +423,14 @@ def _exponential_scan_eval(f: KernelExpansion, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_sup_estimate(f: KernelExpansion, total_points: int = 10_000) -> float:
-    """Grid-scan lower estimate of ||f||_inf (diagnostic only).
+def grid_sup_estimate(f: KernelExpansion) -> float:
+    """Grid-scan lower estimate of ||f||_inf on about 10,000 points
+    (diagnostic only).
 
     Never exceeds :meth:`KernelExpansion.sup_norm_bound`; the gap measures
     the slack of the certified bound.
     """
-    per_dim = max(2, int(round(total_points ** (1.0 / f.kernel.dim))))
+    per_dim = max(2, int(round(10_000 ** (1.0 / f.kernel.dim))))
     grid = f.kernel.domain.uniform_grid(per_dim)
     return float(np.max(np.abs(f(grid)))) if len(grid) else 0.0
 

@@ -23,7 +23,6 @@ __all__ = [
     "power_loss",
     "hinge_loss",
     "loss_value",
-    "loss_subgradient",
     "lipschitz_constant",
     "growth_constant",
     "modulus_of_convexity_bound",
@@ -96,21 +95,6 @@ def loss_value(spec: LossSpec, y, t):
     if spec.kind == "power":
         return np.abs(y - t) ** spec.alpha
     return np.maximum(0.0, 1.0 - y * t)
-
-
-def loss_subgradient(spec: LossSpec, y, t):
-    """A subgradient of t -> L(y, t).
-
-    At nondifferentiable points (alpha = 1 at t = y, hinge at y t = 1) the
-    returned element is 0, which lies in the subdifferential.
-    """
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if spec.kind == "power":
-        if spec.alpha == 1.0:
-            return np.sign(t - y)
-        return spec.alpha * np.abs(y - t) ** (spec.alpha - 1.0) * np.sign(t - y)
-    return np.where(y * t < 1.0, -y, 0.0)
 
 
 def lipschitz_constant(spec: LossSpec, bound: float) -> float:
@@ -202,9 +186,10 @@ def inner_risk(spec: LossSpec, q: FiniteDistribution, t: float) -> float:
     return float(loss_value(spec, q.values, float(t)) @ q.weights)
 
 
-def minimal_inner_risk(spec: LossSpec, q: FiniteDistribution,
-                       tol: float = 1e-12) -> tuple[float, float]:
-    """(t*, C*_{L,Q}) via golden-section search on [-1, 1].
+def minimal_inner_risk(spec: LossSpec,
+                       q: FiniteDistribution) -> tuple[float, float]:
+    """(t*, C*_{L,Q}) via golden-section search on [-1, 1], down to an
+    interval of width 1e-12.
 
     The map t -> C_{L,Q}(t) is convex and its minimizer lies in the convex
     hull of the support, hence in [-1, 1].
@@ -215,7 +200,7 @@ def minimal_inner_risk(spec: LossSpec, q: FiniteDistribution,
     a = hi - inv_phi * (hi - lo)
     b = lo + inv_phi * (hi - lo)
     ga, gb = g(a), g(b)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         if ga <= gb:
             hi, b, gb = b, a, ga
             a = hi - inv_phi * (hi - lo)

@@ -90,7 +90,8 @@ class TrainingSet:
 @dataclass(frozen=True)
 class SolverConfig:
     lam: float
-    # Selects nothing (alpha does); kept for callers that still pass it.
+    # Selects nothing (alpha does); the benchmark's warm-up fit is the one
+    # caller that still passes it.
     method: str = "closed_form_quadratic"
     objective_tolerance: float = 1e-9  # relative certified-gap target
 
@@ -112,7 +113,6 @@ class FitResult:
     converged: bool
     certified_gap: float
     smoothing_used: float = 0.0
-    method: str = ""
 
 
 class _Objective:
@@ -241,9 +241,7 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     return FitResult(KernelExpansion(kernel, train.xs, c), obj,
                      iterations=1 + passes, converged=gap <= tol,
                      certified_gap=gap,
-                     smoothing_used=floor if alpha == 1.0 else 0.0,
-                     method=("closed_form_quadratic" if alpha == 2.0
-                             else "proximal_first_order"))
+                     smoothing_used=floor if alpha == 1.0 else 0.0)
 
 
 def objective(kernel: Kernel, spec: LossSpec, train: TrainingSet, lam: float,
@@ -272,5 +270,6 @@ def fit_result_record(result: FitResult, spec: LossSpec, lam: float) -> dict:
         "converged": result.converged,
         "certified_gap": result.certified_gap,
         "smoothing_used": result.smoothing_used,
-        "method": result.method,
+        "method": ("closed_form_quadratic" if spec.alpha == 2.0
+                   else "proximal_first_order"),
     }

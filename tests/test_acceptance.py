@@ -117,9 +117,7 @@ def test_01_solver_closed_form_agreement_and_analytic_cases():
             lam = float(10.0 ** rng.uniform(-2, 0))
             exact = fit(KERN, power_loss(2.0), train, SolverConfig(lam=lam))
             iterative = fit(KERN, power_loss(2.0), train,
-                            SolverConfig(lam=lam,
-                                         method="proximal_first_order",
-                                         objective_tolerance=1e-9))
+                            SolverConfig(lam=lam, objective_tolerance=1e-9))
             assert iterative.objective == pytest.approx(exact.objective,
                                                         rel=1e-6)
 
@@ -132,7 +130,7 @@ def test_01_solver_closed_form_agreement_and_analytic_cases():
         # alpha = 1 piecewise case: 2 lam c in the subdifferential at the
         # kink (0.2 <= 1), so c = 1 exactly
         res = fit(KERN, power_loss(1.0), one,
-                  SolverConfig(lam=0.1, method="proximal_first_order"))
+                  SolverConfig(lam=0.1))
         assert abs(res.f.coefficients[0] - 1.0) <= 1e-8
         assert abs(res.objective - 0.1) <= 1e-8
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kernelrisk.bounds import (
     BoundInputs,
-    RateSpec,
     approx_error_bound,
     cost_gap_norm_bound,
     cost_gap_sup_bound,
@@ -293,11 +292,6 @@ class TestRateExponents:
     @settings(max_examples=300, deadline=None)
     def test_l2_never_exceeds_kappa(self, kappa, p, alpha):
         assert l2_rate_exponent(kappa, p, alpha) <= kappa + 1e-12
-
-    def test_rate_spec(self):
-        spec = RateSpec(kappa=0.8, covering_exponent=1.0, alpha=1.5)
-        assert spec.rho == pytest.approx(l2_rate_exponent(0.8, 1.0, 1.5))
-        assert spec.optimal_kappa == pytest.approx(2 / 3)
 
 
 class TestSobolev:

@@ -138,3 +138,17 @@ class TestCommands:
         main(["--config", str(cfg), "fit", "--alpha", "1.5", "--seed", "0"])
         text = capsys.readouterr().out
         assert "alpha=1.5" in text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--lam", "2"], "lam must lie in (0, 1]"),
+    (["validate", "oracle", "--alpha", "1"], "alpha in (1, 2]"),
+    (["fit", "--domain", "0,1,2"], "neither lo,hi nor lo1,...;hi1,..."),
+], ids=["lam", "alpha", "domain"])
+def test_bad_input_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "kernelrisk: error: " in err and message in err
+    assert "Traceback" not in err

@@ -18,7 +18,6 @@ from kernelrisk.losses import (
     hinge_loss,
     inner_risk,
     lipschitz_constant,
-    loss_subgradient,
     loss_value,
     mean_template_inner_risk,
     minimal_inner_risk,
@@ -85,33 +84,6 @@ class TestLossValues:
             assert sup[np.argmin(np.abs(ts))] <= 1.0 + 1e-12
         vals1 = loss_value(power_loss(1.0), ys[:, None], ts[None, :])
         assert np.all(vals1.max(axis=0) <= 1.0 + np.abs(ts) + 1e-12)
-
-
-class TestSubgradient:
-    def test_examples(self):
-        assert loss_subgradient(power_loss(2.0), 0.0, 1.0) == pytest.approx(2.0)
-        assert loss_subgradient(power_loss(1.0), 0.0, 0.0) == 0.0
-        assert loss_subgradient(power_loss(1.5), 0.0, 4.0) == pytest.approx(3.0)
-
-    def test_hinge_subgradient(self):
-        spec = hinge_loss()
-        assert loss_subgradient(spec, 1.0, 0.0) == -1.0
-        assert loss_subgradient(spec, 1.0, 2.0) == 0.0
-        assert loss_subgradient(spec, 1.0, 1.0) == 0.0
-        assert loss_subgradient(spec, -1.0, -2.0) == 0.0
-
-    def test_subgradient_inequality(self):
-        # L(y, s) >= L(y, t) + g (s - t) for subgradient g at t
-        rng = np.random.default_rng(0)
-        for spec in (power_loss(1.0), power_loss(1.3), power_loss(2.0),
-                     hinge_loss()):
-            y = rng.uniform(-1, 1, 2000)
-            t = rng.uniform(-3, 3, 2000)
-            s = rng.uniform(-3, 3, 2000)
-            g = loss_subgradient(spec, y, t)
-            lhs = loss_value(spec, y, s)
-            rhs = loss_value(spec, y, t) + g * (s - t)
-            assert np.all(lhs >= rhs - 1e-10)
 
 
 class TestLipschitzAndGrowth:

@@ -1,0 +1,57 @@
+"""Tests for the comparison rules of scripts/output_digest.py."""
+
+import importlib.util
+import math
+import os
+import pathlib
+from unittest import mock
+
+SCRIPT = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+          / "output_digest.py")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # the script pins BLAS threads
+        spec.loader.exec_module(module)
+    return module
+
+
+od = load_script()
+
+
+def agrees(a, b) -> bool:
+    return od.gap(a, b) <= od.RTOL
+
+
+def test_float_tolerance():
+    x = 0.7
+    assert agrees(x, x * (1 + 1e-13))
+    assert not agrees(x, x * (1 + 1e-11))
+    assert od.compare("g", [["a", x]], [["a", x * (1 + 1e-13)]])[0] is None
+    problem, worst = od.compare("g", [["a", x]], [["a", x * (1 + 1e-11)]])
+    assert problem is not None and worst > od.RTOL
+
+
+def test_nan_matches_only_nan():
+    nan = math.nan
+    assert od.gap(nan, nan) == 0.0
+    assert od.gap(nan, 1.0) == math.inf
+    assert od.gap(1.0, nan) == math.inf
+    assert od.compare("g", [["a", nan]], [["a", nan]])[0] is None
+    assert od.compare("g", [["a", nan]], [["a", 0.0]])[0] is not None
+
+
+def test_numbers_in_text_compare_as_numbers():
+    assert od.gap("eps=1.5e-3 ok", "eps=0.0015 ok") == 0.0
+    assert agrees("K=2.0000000000000 x", "K=2.0000000000001 x")
+    assert not agrees("K=2.00000000001 x", "K=2.00000000000 x")
+    assert not agrees("K=2.0 x", "L=2.0 x")
+    assert not agrees("K=2.0 pass", "K=2.0 FAIL")
+    assert not agrees("n=3", "n=4")  # integers must be equal
+
+
+def test_lists_of_different_length_differ():
+    problem, worst = od.compare("g", [["a", 1]], [["a", 1], ["b", 2]])
+    assert problem is not None and worst == math.inf

@@ -110,7 +110,7 @@ class TestFirstOrder:
         # min 0.1 c^2 + |c - 1|: subgradient condition picks c = 1
         train = TrainingSet([[0.0]], [1.0])
         res = fit(GAUSS, power_loss(1.0), train,
-                  SolverConfig(lam=0.1, method="proximal_first_order"))
+                  SolverConfig(lam=0.1))
         assert res.f.coefficients[0] == pytest.approx(1.0, abs=1e-8)
         assert res.objective == pytest.approx(0.1, abs=1e-8)
         assert res.smoothing_used <= 1e-9
@@ -122,8 +122,7 @@ class TestFirstOrder:
         # tight certified gap to pin c itself.
         train = TrainingSet([[0.0]], [1.0])
         res = fit(GAUSS, power_loss(1.0), train,
-                  SolverConfig(lam=0.7, method="proximal_first_order",
-                               objective_tolerance=1e-13))
+                  SolverConfig(lam=0.7, objective_tolerance=1e-13))
         c = 1.0 / 1.4
         assert res.f.coefficients[0] == pytest.approx(c, abs=1e-6)
         assert res.objective == pytest.approx(0.7 * c * c + (1 - c), abs=1e-9)
@@ -133,7 +132,7 @@ class TestFirstOrder:
         rng = np.random.default_rng(2)
         train = random_train(rng, 25)
         res = fit(EXPO, power_loss(alpha), train,
-                  SolverConfig(lam=0.05, method="proximal_first_order"))
+                  SolverConfig(lam=0.05))
         assert res.converged
         assert res.certified_gap <= 1e-8 * max(1.0, res.objective)
 
@@ -172,17 +171,15 @@ class TestFirstOrder:
             lam = 10.0 ** rng.uniform(-2, 0)
             a = fit(GAUSS, power_loss(2.0), train, SolverConfig(lam=lam))
             b = fit(GAUSS, power_loss(2.0), train,
-                    SolverConfig(lam=lam, method="proximal_first_order",
-                                 objective_tolerance=1e-10))
+                    SolverConfig(lam=lam, objective_tolerance=1e-10))
             assert b.objective == pytest.approx(a.objective, rel=1e-7)
 
     def test_objective_function_matches_fit_report(self):
         rng = np.random.default_rng(4)
         train = random_train(rng, 30)
-        for alpha, method in ((2.0, "closed_form_quadratic"),
-                              (1.5, "proximal_first_order")):
+        for alpha in (2.0, 1.5):
             spec = power_loss(alpha)
-            res = fit(EXPO, spec, train, SolverConfig(lam=0.2, method=method))
+            res = fit(EXPO, spec, train, SolverConfig(lam=0.2))
             assert objective(EXPO, spec, train, 0.2, res.f) == pytest.approx(
                 res.objective, rel=1e-9, abs=1e-12)
 
@@ -201,11 +198,9 @@ class TestSolverInvariants:
     def test_optimality_probe(self):
         rng = np.random.default_rng(6)
         train = random_train(rng, 30)
-        for alpha, method in ((2.0, "closed_form_quadratic"),
-                              (1.5, "proximal_first_order"),
-                              (1.0, "proximal_first_order")):
+        for alpha in (2.0, 1.5, 1.0):
             spec = power_loss(alpha)
-            res = fit(EXPO, spec, train, SolverConfig(lam=0.1, method=method))
+            res = fit(EXPO, spec, train, SolverConfig(lam=0.1))
             base = objective(EXPO, spec, train, 0.1, res.f)
             for _ in range(200):
                 delta = rng.standard_normal(train.n)
@@ -217,23 +212,19 @@ class TestSolverInvariants:
     def test_norm_budget(self):
         rng = np.random.default_rng(7)
         for alpha in (1.0, 1.5, 2.0):
-            method = ("closed_form_quadratic" if alpha == 2.0
-                      else "proximal_first_order")
             for lam in (0.01, 0.1, 1.0):
                 train = random_train(rng, 40)
                 res = fit(EXPO, power_loss(alpha), train,
-                          SolverConfig(lam=lam, method=method))
+                          SolverConfig(lam=lam))
                 assert res.f.rkhs_norm() <= lam ** -0.5 + 1e-6
 
     def test_norm_monotone_in_lambda(self):
         rng = np.random.default_rng(8)
         train = random_train(rng, 50)
         for alpha in (1.5, 2.0):
-            method = ("closed_form_quadratic" if alpha == 2.0
-                      else "proximal_first_order")
             norms = [
                 fit(EXPO, power_loss(alpha), train,
-                    SolverConfig(lam=lam, method=method)).f.rkhs_norm()
+                    SolverConfig(lam=lam)).f.rkhs_norm()
                 for lam in (0.01, 0.03, 0.1, 0.3, 1.0)
             ]
             diffs = np.diff(norms)
@@ -264,7 +255,7 @@ class TestSerialization:
         train = random_train(rng, 10)
         spec = power_loss(1.5)
         res = fit(EXPO, spec, train,
-                  SolverConfig(lam=0.3, method="proximal_first_order"))
+                  SolverConfig(lam=0.3))
         rec = json.loads(json.dumps(fit_result_record(res, spec, 0.3)))
         assert rec["lam"] == 0.3
         assert rec["loss"]["alpha"] == 1.5

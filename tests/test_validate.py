@@ -7,6 +7,7 @@ import pytest
 
 from kernelrisk.bounds import BoundInputs, oracle_epsilon_threshold
 from kernelrisk.data import ContaminatedNoise, DataModel, UniformNoise
+from kernelrisk import validate
 from kernelrisk.kernels import Box, Kernel, KernelExpansion
 from kernelrisk.validate import (
     _random_expansion,
@@ -68,6 +69,19 @@ class TestOracleCheck:
         covered = np.mean(np.array(rep.calibration_excesses)
                           < rep.approx_error + rep.epsilon)
         assert covered >= rep.target_probability - 1e-9
+
+    @pytest.mark.parametrize("x, covering", [(0.5, (1.0, 1.0)),
+                                             (1.0, (1.0, 2.5))],
+                             ids=["confidence", "covering-exponent"])
+    def test_rejects_bad_inputs_before_any_fit(self, monkeypatch, x,
+                                               covering):
+        def no_fit(*args, **kwargs):
+            pytest.fail("fit ran before the inputs were checked")
+
+        monkeypatch.setattr(validate, "fit", no_fit)
+        with pytest.raises(ValueError):
+            oracle_probability_check(make_model(), KERN, 1.5, 0.05, 50, x,
+                                     trials=60, covering=covering)
 
     def test_requires_enough_trials(self):
         model = make_model()
