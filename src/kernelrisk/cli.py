@@ -74,7 +74,7 @@ def build_kernel(opts: dict) -> Kernel:
                       length_scale=float(opts["length_scale"]))
     if family == "linear":
         return Kernel("linear", box)
-    raise SystemExit(f"unknown kernel family {family!r}")
+    raise ValueError(f"unknown kernel family {family!r}")
 
 
 def build_truth(kernel: Kernel, opts: dict) -> KernelExpansion:
@@ -90,7 +90,7 @@ def build_truth(kernel: Kernel, opts: dict) -> KernelExpansion:
     raw = KernelExpansion(kernel, centers, pattern)
     norm = raw.rkhs_norm()
     if norm <= 0:
-        raise SystemExit("degenerate truth expansion")
+        raise ValueError("degenerate truth expansion")
     scale = float(opts["fstar_norm"]) / norm
     return KernelExpansion(kernel, centers, pattern * scale)
 
@@ -104,7 +104,7 @@ def build_model(opts: dict) -> DataModel:
         noise = TruncatedGaussianNoise(float(opts["noise_sigma"]),
                                        float(opts["noise_width"]))
     else:
-        raise SystemExit(f"unknown noise kind {opts['noise']!r}")
+        raise ValueError(f"unknown noise kind {opts['noise']!r}")
     return DataModel(truth, noise)
 
 
@@ -237,7 +237,7 @@ def cmd_bounds_eval(args, file_values) -> int:
 
 def cmd_covering_fit(args, file_values) -> int:
     defaults = dict(MODEL_DEFAULTS, n=400, seed=0, sample="equispaced",
-                    deltas=16, csv=None)
+                    csv=None)
     opts = resolve(args, file_values, defaults)
     kernel = build_kernel(opts)
     xs = covering_sample(kernel.domain, int(opts["n"]), int(opts["seed"]),

@@ -188,6 +188,11 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
+def _grid_order(dim: int, eval_budget: int) -> int:
+    """Gauss-Legendre order on every axis of the tensor rule for dim >= 2."""
+    return min(max(2, int(round(eval_budget ** (1.0 / dim)))), 96)
+
+
 def _quadrature_nodes(model: DataModel, f, eval_budget: int
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Panelized Gauss-Legendre nodes/weights over the box (weights sum to 1).
@@ -214,8 +219,7 @@ def _quadrature_nodes(model: DataModel, f, eval_budget: int
         nodes = (0.5 * (lo + hi) + 0.5 * (hi - lo) * xi[None, :]).ravel()
         weights = (0.5 * (hi - lo) * wi[None, :]).ravel()
         return nodes.reshape(-1, 1), weights / (box.upper[0] - box.lower[0])
-    per_dim = max(2, int(round(eval_budget ** (1.0 / box.dim))))
-    xi, wi = _gauss_legendre(min(per_dim, 96))
+    xi, wi = _gauss_legendre(_grid_order(box.dim, eval_budget))
     axes, wts = [], []
     for lo, hi in zip(box.lower, box.upper):
         axes.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * xi)
@@ -247,7 +251,12 @@ def excess_l2_risk(model: DataModel, f, eval_budget: int = 16384) -> float:
     an (m, d) point array to m values.
     """
     nodes, weights = _quadrature_nodes(model, f, eval_budget)
-    diff = _deviation(model, f)(nodes)
+    deviation = _deviation(model, f)
+    dim = model.domain.dim
+    if dim > 1 and isinstance(deviation, KernelExpansion):
+        diff = deviation.on_grid(nodes, (_grid_order(dim, eval_budget),) * dim)
+    else:
+        diff = deviation(nodes)
     return float(np.sum(weights * diff * diff))
 
 

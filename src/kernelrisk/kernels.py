@@ -176,32 +176,44 @@ class Kernel:
         return sup if sup > 0 else 1.0
 
     def pairwise(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        """Matrix of kernel values k(xa_i, xb_j); no domain validation."""
+        """Matrix of kernel values k(xa_i, xb_j); no domain validation.
+
+        Every elementwise step after the first n x m array runs in place.
+        """
         xa = as_points(xa, self.dim)
         xb = as_points(xb, self.dim)
         if self.family == "linear":
-            return (xa @ xb.T) / self._linear_scale
+            out = xa @ xb.T
+            out /= self._linear_scale
+            return out
         if self.dim == 1:
-            r = np.abs(xa - xb.T)
-            sq = None
+            out = xa - xb.T
+            np.abs(out, out=out)
+            if self.family == "gaussian":
+                out *= out
         else:
-            sq = (
-                np.sum(xa**2, axis=1)[:, None]
-                + np.sum(xb**2, axis=1)[None, :]
-                - 2.0 * (xa @ xb.T)
-            )
-            np.maximum(sq, 0.0, out=sq)
-            r = None
+            cross = xa @ xb.T
+            cross *= 2.0
+            out = np.add.outer(np.sum(xa**2, axis=1), np.sum(xb**2, axis=1))
+            out -= cross
+            np.maximum(out, 0.0, out=out)
+            if self.family != "gaussian":
+                np.sqrt(out, out=out)
+        # out now holds squared distances (gaussian) or distances (matern)
         if self.family == "gaussian":
-            sq = r * r if sq is None else sq
-            return np.exp(-sq / self.width**2)
-        r = np.sqrt(sq) if r is None else r
+            np.negative(out, out=out)
+            out /= self.width**2
+            return np.exp(out, out=out)
         k = int(round(self.nu - 0.5))
-        z = (2.0 * math.sqrt(2.0 * self.nu) / self.length_scale) * r
+        out *= 2.0 * math.sqrt(2.0 * self.nu) / self.length_scale
         if k == 0:  # exponential kernel: the polynomial factor is 1
-            return np.exp(-0.5 * z)
-        poly = np.polynomial.polynomial.polyval(z, _matern_poly_coeffs(k))
-        return poly * np.exp(-0.5 * z)
+            out *= -0.5
+            return np.exp(out, out=out)
+        poly = np.polynomial.polynomial.polyval(out, _matern_poly_coeffs(k))
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= poly
+        return out
 
     def to_config(self) -> dict:
         params: dict = {}
@@ -231,7 +243,9 @@ def kernel_matrix(kernel: Kernel, points) -> np.ndarray:
         bad = pts[~inside][0]
         raise DomainError(f"point {bad} outside domain box {kernel.domain}")
     K = kernel.pairwise(pts, pts)
-    return 0.5 * (K + K.T)
+    K += K.T
+    K *= 0.5
+    return K
 
 
 # Above this many kernel evaluations (n centers times m points), expansion
@@ -276,6 +290,33 @@ class KernelExpansion:
         if self._uses_scan(len(pts)):
             return _exponential_scan_eval(self, pts[:, 0])
         return self.kernel.pairwise(pts, self.centers) @ self.coefficients
+
+    def on_grid(self, nodes, shape: tuple[int, ...]) -> np.ndarray:
+        """f at ``nodes``, the ``ij``-ordered tensor grid of ``shape``, as
+        :meth:`__call__` returns it.
+
+        A Gaussian kernel is a product over coordinates, so in d >= 2 the sum
+        over the n centers is built from one m_j x n table of factors per
+        axis: sum_j m_j * n exponentials, not prod_j m_j * n.  Other kernels
+        are evaluated point by point.
+        """
+        pts = as_points(nodes, self.kernel.dim)
+        d = self.kernel.dim
+        if self.kernel.family != "gaussian" or d == 1 or not len(self):
+            return self(pts)
+        grid = pts.reshape(*shape, d)
+        factors = []
+        for j in range(d):
+            axis = grid[(0,) * j + (slice(None),) + (0,) * (d - 1 - j) + (j,)]
+            sq = np.subtract.outer(axis, self.centers[:, j])
+            sq *= sq
+            np.negative(sq, out=sq)
+            sq /= self.kernel.width**2
+            factors.append(np.exp(sq, out=sq))
+        rows = factors[0] * self.coefficients
+        for table in factors[1:-1]:
+            rows = (rows[:, None, :] * table).reshape(-1, len(self))
+        return (rows @ factors[-1].T).ravel()
 
     def _uses_scan(self, points: int) -> bool:
         kernel = self.kernel

@@ -174,10 +174,15 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M c = rhs for SPD M; destroys M (callers build it fresh)."""
+    """Solve M c = rhs for SPD M; destroys M (callers build it fresh).
+
+    M is exactly symmetric, so its transpose is the same matrix already in
+    the Fortran order that LAPACK factors in place; passing the C-ordered M
+    itself would make f2py copy all n x n entries first.
+    """
     try:
         return cho_solve(
-            cho_factor(M, lower=True, check_finite=False, overwrite_a=True),
+            cho_factor(M.T, lower=True, check_finite=False, overwrite_a=True),
             rhs, check_finite=False)
     except LinAlgError as exc:
         raise SolverError(f"kernel system not positive definite: {exc}") from exc

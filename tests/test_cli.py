@@ -140,12 +140,21 @@ class TestCommands:
         assert "alpha=1.5" in text
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["fit", "--lam", "2"], "lam must lie in (0, 1]"),
-    (["validate", "oracle", "--alpha", "1"], "alpha in (1, 2]"),
-    (["fit", "--domain", "0,1,2"], "neither lo,hi nor lo1,...;hi1,..."),
-], ids=["lam", "alpha", "domain"])
-def test_bad_input_is_a_usage_error(argv, message, capsys):
+@pytest.mark.parametrize("config, argv, message", [
+    (None, ["fit", "--lam", "2"], "lam must lie in (0, 1]"),
+    (None, ["validate", "oracle", "--alpha", "1"], "alpha in (1, 2]"),
+    (None, ["fit", "--domain", "0,1,2"], "neither lo,hi nor lo1,...;hi1,..."),
+    ("kernel_family = foo", ["fit"], "unknown kernel family 'foo'"),
+    ("kernel_family = foo", ["covering", "fit"], "unknown kernel family"),
+    ("noise = foo", ["rates", "run"], "unknown noise kind 'foo'"),
+    ("fstar_centers = 0", ["robustness", "run"], "degenerate truth expansion"),
+], ids=["lam", "alpha", "domain", "config-kernel", "config-kernel-covering",
+        "config-noise", "config-truth"])
+def test_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        argv = ["--config", str(cfg), *argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -12,6 +12,7 @@ from kernelrisk.data import (
     excess_power_risk,
     generate,
     trial_seed,
+    _grid_order,
     _quadrature_nodes,
 )
 from kernelrisk.kernels import Box, Kernel, KernelExpansion, combine_expansions
@@ -212,3 +213,45 @@ class TestExcessRisks:
         est, se = excess_power_risk(model, f, alpha, m, seed)
         assert est == pytest.approx(g.mean(), rel=1e-12)
         assert se == pytest.approx(g.std() / np.sqrt(m), rel=1e-12)
+
+
+class TestTensorQuadrature:
+    """In d >= 2 the rule is a tensor grid; a Gaussian expansion is summed
+    there from per-axis factors, every other kernel point by point."""
+
+    @staticmethod
+    def expansion(kernel, rng, n=300):
+        box = kernel.domain
+        return KernelExpansion(kernel, rng.uniform(box.lower, box.upper,
+                                                   (n, box.dim)),
+                               0.1 * rng.standard_normal(n))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gaussian_grid_matches_dense_sum(self, dim):
+        # unequal axes, so a mixed-up axis order cannot pass
+        box = Box((-1.0, 0.0, 0.5)[:dim], (1.0, 2.0, 0.8)[:dim])
+        kernel = Kernel("gaussian", box, width=0.4)
+        rng = np.random.default_rng(17 + dim)
+        f = self.expansion(kernel, rng)
+        model = DataModel(self.expansion(kernel, rng, n=5), UniformNoise(0.3))
+        nodes, weights = _quadrature_nodes(model, f, 16384)
+        shape = (_grid_order(dim, 16384),) * dim
+        dense = kernel.pairwise(nodes, f.centers) @ f.coefficients
+        grid = f.on_grid(nodes, shape)
+        assert np.max(np.abs(grid - dense)) <= 1e-12 * np.max(np.abs(dense))
+        diff = f(nodes) - model.f_star(nodes)
+        assert excess_l2_risk(model, f) == pytest.approx(
+            float(np.sum(weights * diff * diff)), rel=1e-12)
+
+    def test_matern_grid_stays_dense(self):
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        kernel = Kernel("matern", box, sobolev_order=1.5, length_scale=0.25)
+        rng = np.random.default_rng(23)
+        f = self.expansion(kernel, rng)
+        model = DataModel(self.expansion(kernel, rng, n=5), UniformNoise(0.3))
+        nodes, weights = _quadrature_nodes(model, f, 16384)
+        dense = kernel.pairwise(nodes, f.centers) @ f.coefficients
+        assert np.array_equal(f.on_grid(nodes, (96, 96)), dense)
+        deviation = combine_expansions(f, model.f_star, 1.0, -1.0)(nodes)
+        assert excess_l2_risk(model, f) == float(
+            np.sum(weights * deviation * deviation))

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from kernelrisk.kernels import Box, Kernel, KernelExpansion
+from kernelrisk.kernels import Box, Kernel, KernelExpansion, kernel_matrix
 from kernelrisk.losses import power_loss, hinge_loss
 from kernelrisk.solver import (
     FitResult,
     SolverConfig,
     TrainingSet,
+    _spd_solve,
     fit,
     fit_result_record,
     objective,
@@ -69,11 +71,24 @@ class TestClosedForm:
         train = random_train(rng, 40)
         lam = 0.07
         res = fit(GAUSS, power_loss(2.0), train, SolverConfig(lam=lam))
-        from kernelrisk.kernels import kernel_matrix
-
         K = kernel_matrix(GAUSS, train.xs)
         expected = np.linalg.solve(K + train.n * lam * np.eye(train.n), train.ys)
         np.testing.assert_allclose(res.f.coefficients, expected, atol=1e-9)
+
+    def test_spd_solve_factors_in_place(self):
+        # the ridge system is factored where it lies, with no n x n copy:
+        # its C-order upper triangle becomes the transposed Cholesky factor
+        rng = np.random.default_rng(11)
+        train = random_train(rng, 60)
+        M = kernel_matrix(GAUSS, train.xs)
+        M.flat[:: train.n + 1] += 0.1
+        factor, _ = cho_factor(M.copy(), lower=True)
+        expected = cho_solve((factor, True), train.ys)
+        system = M.copy()
+        got = _spd_solve(system, train.ys)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.array_equal(system, M)
+        assert np.tril(system.T).tobytes() == np.tril(factor).tobytes()
 
     def test_hinge_not_trainable(self):
         train = TrainingSet([[0.0]], [1.0])
@@ -147,8 +162,6 @@ class TestFirstOrder:
         lam, spec = 0.05, power_loss(alpha)
         cfg = SolverConfig(lam=lam)
         res = fit(kernel, spec, train, cfg)
-        from kernelrisk.kernels import kernel_matrix
-
         K = kernel_matrix(kernel, train.xs)
         ridge = np.linalg.solve(K + train.n * lam * np.eye(train.n), train.ys)
 
