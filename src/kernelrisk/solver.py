@@ -10,7 +10,11 @@ duality gap certifies the unsmoothed objective,
     J(f) - min J <= J(f) - D(b)   for every dual point b,
 
 to the configured tolerance.  At alpha = 2 the ridge solve is the exact
-minimizer and no pass is taken.
+minimizer and no pass is taken.  For alpha in (1, 2) a pass models the loss
+with s times the curvature of its quadratic majorizer: s = 1 is the
+majorizer, s = alpha - 1 is Newton's method.  Full steps move s toward
+Newton and damped steps back toward the majorizer, which roughly halves the
+passes a fit needs against the majorizer alone.
 """
 
 from __future__ import annotations
@@ -41,13 +45,18 @@ __all__ = [
 _MU_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 # Residual-magnitude floor inside reweighting for alpha in (1, 2); keeps the
-# per-point curvature proxy |u|^(alpha-2) finite.
-_IRLS_FLOOR = 1e-9
+# per-point curvature |u|^(alpha-2) finite.  Newton passes drive residuals
+# well below 1e-9, and a floor above them stalls the fit short of its gap.
+_IRLS_FLOOR = 1e-12
 
 # Most reweighted ridge passes one fit takes, and the steps a pass tries
-# along its direction; a pass that no step lowers J by ends the fit.
+# along its direction; a majorizer pass that no step lowers J by ends the
+# fit.  The curvature scale s of a pass is divided by _CURVATURE_MOVE after
+# a full step (down to alpha - 1, Newton) and multiplied by it after a damped
+# one (up to 1, the majorizer).
 _MAX_PASSES = 5000
 _STEPS = tuple(0.5 ** k for k in range(21))
+_CURVATURE_MOVE = 4.0
 
 
 class SolverError(RuntimeError):
@@ -156,8 +165,11 @@ class _Objective:
             Kb, conj = self.K @ b, 0.0
         else:
             Kb = 2.0 * lam * Kc
-            conj = (alpha - 1.0) * float(
-                w @ (np.abs(b / w) / alpha) ** (alpha / (alpha - 1.0)))
+            # the power overflows to +inf near alpha = 1 far from the
+            # optimum; an infinite gap is the honest answer there
+            with np.errstate(over="ignore"):
+                conj = (alpha - 1.0) * float(
+                    w @ (np.abs(b / w) / alpha) ** (alpha / (alpha - 1.0)))
         dual = float(b @ self.y) - float(b @ Kb) / (4.0 * lam) - conj
         return max(obj - dual, 0.0)
 
@@ -174,7 +186,7 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M c = rhs for SPD M; destroys M (callers build it fresh).
+    """Solve M c = rhs for SPD M; destroys M (callers refill it).
 
     M is exactly symmetric, so its transpose is the same matrix already in
     the Fortran order that LAPACK factors in place; passing the C-ordered M
@@ -188,9 +200,9 @@ def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverError(f"kernel system not positive definite: {exc}") from exc
 
 
-def _ridge_system(K: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """K + diag(diag) without materializing a dense diagonal matrix."""
-    M = K.copy()
+def _ridge_system(M: np.ndarray, K: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Fill the buffer M with K + diag(diag), without a dense diagonal."""
+    np.copyto(M, K)
     M.flat[:: K.shape[0] + 1] += diag
     return M
 
@@ -207,19 +219,33 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     line-searched reweighted ridge passes until the duality gap is at most
     ``cfg.objective_tolerance`` times |J| at the ridge solution, the
     ``converged`` test.  At alpha = 2 the ridge solution is the minimizer, so
-    no pass is needed.  A pass that does not lower J ends the fit.
+    no pass is needed.
+
+    With residuals r = y - Kc and the majorizer curvature
+    omega = (alpha / 2) max(|r|, floor)^(alpha - 2), a pass at curvature
+    scale s solves (K + diag(lam / (w s omega))) z = rhs and steps along
+    z - c.  At s = 1 the right side is y, the majorizer's minimizer; below 1
+    it is Kc + alpha |r|^(alpha - 1) sign(r) / (2 s omega), which makes the
+    direction -H_s^{-1} grad J for the model Hessian H_s of scale s.  Every
+    fit starts at s = 1; s moves toward alpha - 1 (Newton) after full steps
+    and back toward 1 after damped ones, and stays at 1 for alpha = 1.  A
+    pass below s = 1 that does not lower J is retried at s = 1; a pass at
+    s = 1 that does not lower J ends the fit.
     """
     if spec.kind != "power":
         raise ValueError("only power losses are trainable")
     w = _normalized_weights(weights, train.n)
     K = kernel_matrix(kernel, train.xs)
+    M = np.empty_like(K)  # the ridge system of every pass, factored in place
     y, lam, alpha = train.ys, cfg.lam, spec.alpha
     J = _Objective(K, y, w, lam, spec)
-    c = _spd_solve(_ridge_system(K, lam / w), y)
+    c = _spd_solve(_ridge_system(M, K, lam / w), y)
     obj, Kc = J(c)
     tol = cfg.objective_tolerance * abs(obj)
     floors = iter(_MU_SCHEDULE if alpha == 1.0 else (_IRLS_FLOOR,))
     floor = next(floors)
+    newton = alpha - 1.0 if alpha > 1.0 else 1.0
+    s = 1.0
     passes = 0
     while True:
         gap = J.gap(c, Kc, obj)
@@ -227,10 +253,15 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
             break
         if gap <= floor:
             floor = next(floors, floor)
-        # Weights of the quadratic majorizer of |u|^alpha at the residuals.
-        omega = 0.5 * alpha * np.maximum(np.abs(y - Kc), floor) ** (alpha - 2.0)
+        r = y - Kc
+        omega = 0.5 * alpha * np.maximum(np.abs(r), floor) ** (alpha - 2.0)
+        if s == 1.0:
+            rhs = y
+        else:
+            rhs = Kc + alpha * np.abs(r) ** (alpha - 1.0) * np.sign(r) \
+                / (2.0 * s * omega)
         try:
-            d = _spd_solve(_ridge_system(K, lam / (w * omega)), y) - c
+            d = _spd_solve(_ridge_system(M, K, lam / (w * s * omega)), rhs) - c
         except SolverError:
             break
         passes += 1
@@ -238,8 +269,13 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
         for step in _STEPS:
             if J.change(c, Kc, d, Kd, step) < 0:
                 break
-        else:  # no step lowers J: the fit ends uncertified
-            break
+        else:  # no step lowers J: retry as the majorizer, or end uncertified
+            if s == 1.0:
+                break
+            s = 1.0
+            continue
+        s = (max(newton, s / _CURVATURE_MOVE) if step == 1.0
+             else min(1.0, s * _CURVATURE_MOVE))
         c = c + step * d
         obj, Kc = J(c)
 

@@ -1,5 +1,7 @@
 """Tests for the regularized-risk solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -176,6 +178,40 @@ class TestFirstOrder:
                   SolverConfig(lam=lam, objective_tolerance=1e-14))
         assert J(res.f.coefficients) - J(ref.f.coefficients) <= \
             res.certified_gap + 1e-15
+
+    @pytest.mark.parametrize("kernel", [EXPO, GAUSS], ids=["expo", "gauss"])
+    @pytest.mark.parametrize("alpha", [1.001, 1.01, 1.05, 1.1, 1.2, 1.5, 1.9])
+    def test_adaptive_passes_certify(self, alpha, kernel):
+        # passes that move toward Newton curvature must still reach the
+        # certified gap, also where plain Newton passes stall (alpha near 1)
+        rng = np.random.default_rng(12)
+        for n, lam in ((10, 0.2), (40, 0.05), (80, 80 ** -0.64)):
+            train = random_train(rng, n)
+            for tol in (1e-6, 1e-7, 1e-9):
+                res = fit(kernel, power_loss(alpha), train,
+                          SolverConfig(lam=lam, objective_tolerance=tol))
+                assert res.converged, (n, tol, res.certified_gap)
+
+    @pytest.mark.parametrize("kernel, solves", [(EXPO, 28), (GAUSS, 18)],
+                             ids=["expo", "gauss"])
+    def test_adaptive_pass_count(self, kernel, solves):
+        # the data of test_interior_stationarity at alpha = 1.1: majorizer
+        # passes alone take 50 (expo) and 42 (gauss) ridge solves
+        rng = np.random.default_rng(2)
+        train = random_train(rng, 25)
+        res = fit(kernel, power_loss(1.1), train, SolverConfig(lam=0.05))
+        assert res.converged
+        assert res.iterations <= solves
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_gap_near_alpha_one_warns_nothing(self, seed):
+        # the conjugate term (|b/w| / alpha)^(alpha / (alpha - 1)) overflows
+        # at alpha = 1.001 on these data; the gap is +inf, silently
+        train = random_train(np.random.default_rng(seed), 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(GAUSS, power_loss(1.001), train, SolverConfig(lam=0.05))
+        assert res.converged
 
     def test_agreement_with_closed_form(self):
         rng = np.random.default_rng(3)
