@@ -161,7 +161,7 @@ def cmd_fit(args, file_values) -> int:
     spec = power_loss(alpha)
     result = fit(kernel, spec, train, cfg)
     print(f"fit: n={train.n} alpha={alpha} lam={cfg.lam:.6g} "
-          f"objective={result.objective:.8g} |f|_H={result.f.rkhs_norm():.6g} "
+          f"objective={result.objective:.8g} |f|_H={result.rkhs_norm:.6g} "
           f"iterations={result.iterations} converged={result.converged}")
     if opts["out"]:
         record = fit_result_record(result, spec, cfg.lam)

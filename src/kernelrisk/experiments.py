@@ -115,7 +115,7 @@ def run_trial(model: DataModel, kernel: Kernel, alpha: float, lam: float,
     return TrialRecord(
         seed_index=seed_index, n=n, lam=lam, alpha=alpha, excess_l2=exc2,
         excess_power=exc_a, excess_power_se=se_a,
-        rkhs_norm=result.f.rkhs_norm(), objective=result.objective,
+        rkhs_norm=result.rkhs_norm, objective=result.objective,
         iterations=result.iterations, converged=result.converged,
         certified_gap=result.certified_gap,
         norm_budget=math.sqrt(max(budget_sq, 0.0)),

@@ -34,6 +34,13 @@ __all__ = [
 _NORM_CLAMP = -1e-10
 
 
+def _clamped_square_norm(q: float) -> float:
+    """A computed c'Kc as a squared norm: rounding noise below 0 becomes 0."""
+    if q < _NORM_CLAMP:
+        raise IndefiniteGramError(f"quadratic form c'Kc = {q} < {_NORM_CLAMP}")
+    return max(q, 0.0)
+
+
 class DomainError(ValueError):
     """A point lies outside the kernel's domain box."""
 
@@ -336,9 +343,7 @@ class KernelExpansion:
         else:
             K = self.kernel.pairwise(self.centers, self.centers)
             q = float(self.coefficients @ (K @ self.coefficients))
-        if q < _NORM_CLAMP:
-            raise IndefiniteGramError(f"quadratic form c'Kc = {q} < {_NORM_CLAMP}")
-        return max(q, 0.0)
+        return _clamped_square_norm(q)
 
     def rkhs_norm(self) -> float:
         """||f||_H = sqrt(c' K c), with tiny negative forms clamped to zero."""

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .kernels import Kernel, KernelExpansion, as_points, kernel_matrix
+from .kernels import Kernel, KernelExpansion, _clamped_square_norm, \
+    as_points, kernel_matrix
 from .losses import LossSpec, loss_value
 
 __all__ = [
@@ -121,6 +122,7 @@ class FitResult:
     iterations: int  # ridge solves, the first one included
     converged: bool
     certified_gap: float
+    rkhs_norm: float  # ||f||_H from the fit's own c'Kc
     smoothing_used: float = 0.0
 
 
@@ -282,6 +284,7 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     return FitResult(KernelExpansion(kernel, train.xs, c), obj,
                      iterations=1 + passes, converged=gap <= tol,
                      certified_gap=gap,
+                     rkhs_norm=math.sqrt(_clamped_square_norm(float(c @ Kc))),
                      smoothing_used=floor if alpha == 1.0 else 0.0)
 
 
