@@ -3,7 +3,8 @@
 Lines are ``key = value`` with ``#`` comments; keys use the CLI flag names
 (hyphens or underscores).  Values are parsed as JSON literals when possible
 (numbers, booleans, lists), strings otherwise.  CLI flags override file
-values, which override built-in defaults.
+values, which override built-in defaults; a file key that the subcommand
+does not take is an error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ def parse_config_file(path: str | Path) -> dict:
 
 def resolve(args, file_values: dict, defaults: dict) -> dict:
     """Merge precedence: CLI flag > config file > default."""
+    unknown = sorted(set(file_values) - set(defaults))
+    if unknown:
+        raise ValueError("unknown config key "
+                         + ", ".join(repr(key) for key in unknown))
     out = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)

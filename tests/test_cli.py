@@ -148,8 +148,11 @@ class TestCommands:
     ("kernel_family = foo", ["covering", "fit"], "unknown kernel family"),
     ("noise = foo", ["rates", "run"], "unknown noise kind 'foo'"),
     ("fstar_centers = 0", ["robustness", "run"], "degenerate truth expansion"),
+    ("trails = 3", ["rates", "run"], "unknown config key 'trails'"),
+    ("lam = 0.1", ["covering", "fit"], "unknown config key 'lam'"),
 ], ids=["lam", "alpha", "domain", "config-kernel", "config-kernel-covering",
-        "config-noise", "config-truth"])
+        "config-noise", "config-truth", "config-unknown-key",
+        "config-key-of-other-command"])
 def test_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "bad.cfg"
