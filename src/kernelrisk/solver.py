@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .kernels import Kernel, KernelExpansion, _clamped_square_norm, \
-    as_points, kernel_matrix
+    kernel_matrix
 from .losses import LossSpec, loss_value
 
 __all__ = [
