@@ -22,9 +22,10 @@ nonzero when a group differs.
 The list covers 40 fits (alpha in {1, 1.1, 1.5, 1.9, 2}, weighted and
 unweighted, 1-d Matern and 2-d Gaussian kernels, two sample sizes),
 run_trial, rate_experiment, oracle_probability_check,
-discrete_cost_gap_check, robustness_study, and the 1-d CLI runs
-``fit --out``, ``rates run --csv``, ``covering fit --csv`` and
-``validate oracle --csv`` (stdout, exit code and written file).  BLAS is
+discrete_cost_gap_check, robustness_study, and 1-d runs of every CLI
+subcommand: ``fit --out``, ``bounds eval``, ``rates run``, ``covering fit``,
+``validate`` oracle, variance and calibration, and ``robustness run`` with
+flags and with a ``--config`` file (stdout, exit code and written file).  BLAS is
 pinned to one thread so the digests do not depend on the thread count.
 """
 
@@ -137,18 +138,30 @@ def gap(a, b) -> float:
 
 
 def compare(name: str, mine: list, theirs: list) -> tuple[str | None, float]:
-    """(first value outside RTOL or None, largest relative float difference)."""
-    if len(mine) != len(theirs):
-        return f"{len(mine)} values against {len(theirs)}", math.inf
-    worst = 0.0
-    for (path, a), (other, b) in zip(mine, theirs):
-        if path != other:
-            return f"value {path} against {other}", math.inf
-        g = gap(a, b)
-        if not g <= RTOL:
-            return f"{name}{path}: {a!r} against {b!r}", g
-        worst = max(worst, g)
-    return None, worst
+    """(what differs or None, largest relative float difference).
+
+    Leaves are matched by path.  Paths that only one side has are listed
+    apart and make the difference inf, without hiding a changed value at a
+    path both sides share."""
+    other = dict(theirs)
+    ours = {path for path, _ in mine}
+    problems = []
+    for label, paths in (("added", [p for p, _ in mine if p not in other]),
+                         ("missing", [p for p, _ in theirs if p not in ours])):
+        if paths:
+            problems.append(f"{len(paths)} paths {label} "
+                            f"(first {name}{paths[0]})")
+    worst = math.inf if problems else 0.0
+    changed = None
+    for path, a in mine:
+        if path in other:
+            g = gap(a, other[path])
+            worst = max(worst, g)
+            if changed is None and not g <= RTOL:
+                changed = f"{name}{path}: {a!r} against {other[path]!r}"
+    if changed is not None:
+        problems.append(changed)
+    return "; ".join(problems) or None, worst
 
 
 def digest(values: list) -> str:
@@ -172,24 +185,49 @@ def fits() -> list:
     return results
 
 
+# A config file for the run below that reads one: a grid given as a list and
+# a switch, next to a grid given as text.
+ROBUSTNESS_CONFIG = """n = 60
+trials = 2
+eta_grid = [0.0, 0.1]
+alpha_grid = "1.5,2"
+asymmetric = true
+"""
+
+
 def cli_runs() -> list:
     runs = [
         (["fit", "--alpha", "1.5", "--n", "100", "--lam", "0.02",
           "--seed", "1", "--out", "fit.json"], "fit.json"),
         (["fit", "--alpha", "2", "--n", "100", "--lam", "0.02",
           "--seed", "1", "--out", "fit2.json"], "fit2.json"),
+        (["bounds", "eval", "--alpha", "1.5", "--p", "1", "--lam", "0.1",
+          "--n", "1000", "--kappa", "0.8", "--q", "inf",
+          "--csv", "bounds.csv"], "bounds.csv"),
         (["rates", "run", "--alpha", "1.5", "--n-grid", "50,100",
           "--trials", "2", "--csv", "rates.csv"], "rates.csv"),
         (["covering", "fit", "--n", "150", "--csv", "cov.csv"], "cov.csv"),
         (["validate", "oracle", "--alpha", "1.5", "--n", "60",
           "--trials", "50", "--mc-points", "5000", "--csv", "val.csv"],
          "val.csv"),
+        (["validate", "variance", "--alpha", "1.5", "--functions", "3",
+          "--mc-points", "5000", "--seed", "2", "--csv", "var.csv"],
+         "var.csv"),
+        (["validate", "calibration", "--alpha", "1.5", "--functions", "3",
+          "--mc-points", "5000", "--csv", "cal.csv"], "cal.csv"),
+        (["robustness", "run", "--n", "60", "--trials", "2",
+          "--eta-grid", "0,0.1", "--alpha-grid", "1.1,2",
+          "--csv", "rob.csv"], "rob.csv"),
+        (["--config", "rob.cfg", "robustness", "run", "--csv", "rob2.csv"],
+         "rob2.csv"),
     ]
     outputs = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            with open("rob.cfg", "w", encoding="utf-8") as fh:
+                fh.write(ROBUSTNESS_CONFIG)
             for argv, path in runs:
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):

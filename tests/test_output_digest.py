@@ -55,3 +55,15 @@ def test_numbers_in_text_compare_as_numbers():
 def test_lists_of_different_length_differ():
     problem, worst = od.compare("g", [["a", 1]], [["a", 1], ["b", 2]])
     assert problem is not None and worst == math.inf
+
+
+def test_added_path_does_not_hide_a_changed_value():
+    mine = [["a", 1], ["b", 0.5], ["new", 3]]
+    theirs = [["a", 1], ["b", 0.6]]
+    problem, worst = od.compare("g", mine, theirs)
+    assert worst == math.inf
+    assert "1 paths added (first gnew)" in problem
+    assert "gb: 0.5 against 0.6" in problem
+    problem, _ = od.compare("g", theirs, mine)
+    assert "1 paths missing (first gnew)" in problem
+    assert "gb: 0.6 against 0.5" in problem
