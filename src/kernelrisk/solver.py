@@ -42,7 +42,8 @@ __all__ = [
 # Residual floors mu of the alpha = 1 reweighting, 1 / (2 max(|u|, mu)).  A
 # pass at floor mu is a descent step on the Huber-mu smoothing of |u|, whose
 # minimizer has a true duality gap of at most mu / 4; the floor moves to the
-# next level once the gap is at most mu.
+# next level once the gap is at most mu, or once no step at mu lowers the
+# true objective (near the smoothed minimizer the two disagree).
 _MU_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 # Residual-magnitude floor inside reweighting for alpha in (1, 2); keeps the
@@ -232,7 +233,8 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     fit starts at s = 1; s moves toward alpha - 1 (Newton) after full steps
     and back toward 1 after damped ones, and stays at 1 for alpha = 1.  A
     pass below s = 1 that does not lower J is retried at s = 1; a pass at
-    s = 1 that does not lower J ends the fit.
+    s = 1 that does not lower J moves to the next residual floor, and ends
+    the fit at the last one (alpha > 1 has a single floor).
     """
     if spec.kind != "power":
         raise ValueError("only power losses are trainable")
@@ -271,9 +273,13 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
         for step in _STEPS:
             if J.change(c, Kc, d, Kd, step) < 0:
                 break
-        else:  # no step lowers J: retry as the majorizer, or end uncertified
+        else:  # no step lowers J: retry as the majorizer, then at the next
+            # floor, and end uncertified after the last one
             if s == 1.0:
-                break
+                lower = next(floors, None)
+                if lower is None:
+                    break
+                floor = lower
             s = 1.0
             continue
         s = (max(newton, s / _CURVATURE_MOVE) if step == 1.0

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kernelrisk.cli import build_truth, main, parse_domain
+from kernelrisk.cli import build_parser, build_truth, main, parse_domain
 from kernelrisk.config import parse_config_file, resolve
 from kernelrisk.kernels import Box, Kernel, KernelExpansion, kernel_from_config
 
@@ -38,7 +38,8 @@ class TestConfig:
             seed = None
 
         merged = resolve(Args(), {"trials": 9, "alpha": 1.9},
-                         {"alpha": 2.0, "trials": 5, "seed": 0})
+                         {"alpha": (float, 2.0), "trials": (int, 5),
+                          "seed": (int, 0)})
         assert merged == {"alpha": 1.2, "trials": 9, "seed": 0}
 
 
@@ -139,6 +140,55 @@ class TestCommands:
         text = capsys.readouterr().out
         assert "alpha=1.5" in text
 
+    @pytest.mark.parametrize("key, argv", [
+        ("csv", ["covering", "fit", "--n", "50"]),
+        ("out", ["fit", "--n", "20"]),
+    ])
+    def test_number_as_file_name(self, key, argv, tmp_path, monkeypatch,
+                                 capsys):
+        # a config value 2 names the file "2", as the flag text does
+        written = {}
+        for how in ("flag", "config"):
+            (tmp_path / how).mkdir()
+            monkeypatch.chdir(tmp_path / how)
+            if how == "flag":
+                assert main([*argv, f"--{key}", "2"]) == 0
+            else:
+                (tmp_path / how / "exp.cfg").write_text(f"{key} = 2\n")
+                assert main(["--config", "exp.cfg", *argv]) == 0
+            written[how] = (tmp_path / how / "2").read_text()
+        assert written["flag"] == written["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit"], ["bounds", "eval"], ["covering", "fit"], ["rates", "run"],
+    ["validate", "oracle"], ["robustness", "run"]], ids=" ".join)
+def test_config_value_passes_flag_type(argv, tmp_path):
+    # every option: its default as config text resolves to what the same
+    # text gives as a flag, and to the default itself
+    parser = build_parser()
+    table = parser.parse_args(argv).options
+    cfg = tmp_path / "exp.cfg"
+    for key, (typ, default) in table.items():
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:
+            cases = [("true", [flag], True), ("false", [], False)]
+        elif default is None:
+            continue
+        elif isinstance(default, tuple):
+            text = ",".join(str(v) for v in default)
+            cases = [(text, [flag, text], default)]
+        else:
+            cases = [(str(default), [flag, str(default)], default)]
+        for text, flag_argv, expected in cases:
+            cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+            from_file = resolve(parser.parse_args(argv),
+                                parse_config_file(cfg), table)[key]
+            from_flag = resolve(parser.parse_args([*argv, *flag_argv]), {},
+                                table)[key]
+            assert from_file == from_flag == expected, key
+            assert type(from_file) is type(from_flag) is type(expected), key
+
 
 @pytest.mark.parametrize("config, argv, message", [
     (None, ["fit", "--lam", "2"], "lam must lie in (0, 1]"),
@@ -150,9 +200,15 @@ class TestCommands:
     ("fstar_centers = 0", ["robustness", "run"], "degenerate truth expansion"),
     ("trails = 3", ["rates", "run"], "unknown config key 'trails'"),
     ("lam = 0.1", ["covering", "fit"], "unknown config key 'lam'"),
+    ("seed = 1.7", ["fit"], "config key 'seed' = '1.7'"),
+    ("tolerance = true", ["fit"], "config key 'tolerance' = 'true'"),
+    ('log_factor = "yes"', ["rates", "run"],
+     "config key 'log_factor' takes true or false, not 'yes'"),
+    ("sample = foo", ["covering", "fit"], "unknown sample 'foo'"),
 ], ids=["lam", "alpha", "domain", "config-kernel", "config-kernel-covering",
         "config-noise", "config-truth", "config-unknown-key",
-        "config-key-of-other-command"])
+        "config-key-of-other-command", "config-int", "config-float",
+        "config-switch", "config-sample"])
 def test_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "bad.cfg"

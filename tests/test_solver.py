@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from kernelrisk.data import DataModel, UniformNoise, generate
 from kernelrisk.kernels import Box, Kernel, KernelExpansion, kernel_matrix
 from kernelrisk.losses import power_loss, hinge_loss
 from kernelrisk.solver import (
@@ -212,6 +213,23 @@ class TestFirstOrder:
             warnings.simplefilter("error")
             res = fit(GAUSS, power_loss(1.001), train, SolverConfig(lam=0.05))
         assert res.converged
+
+    @pytest.mark.parametrize("width, lam, seed", [
+        (0.3, 1e-8, 0), (0.3, 1e-8, 1), (1e6, 1e-4, 0), (0.3, 1e-6, 0)])
+    def test_alpha_one_moves_floor_when_no_step_descends(self, width, lam,
+                                                         seed):
+        # near the Huber minimizer of a floor no step lowers the true
+        # objective; the fit must go on at the next floor, not end there
+        kern = Kernel("gaussian", Box((0.0,), (1.0,)), width=width)
+        centers = np.linspace(0.1, 0.9, 5).reshape(-1, 1)
+        coefs = np.array([0.8, -0.5, 0.9, -0.4, 0.6])
+        raw = KernelExpansion(kern, centers, coefs)
+        truth = KernelExpansion(kern, centers, coefs * (0.5 / raw.rkhs_norm()))
+        train = generate(DataModel(truth, UniformNoise(0.5)), 200, seed)
+        res = fit(kern, power_loss(1.0), train,
+                  SolverConfig(lam=lam, objective_tolerance=1e-7))
+        assert res.converged, res.certified_gap
+        assert res.smoothing_used < 1e-2
 
     def test_agreement_with_closed_form(self):
         rng = np.random.default_rng(3)
