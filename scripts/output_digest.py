@@ -149,8 +149,8 @@ def compare(name: str, mine: list, theirs: list) -> tuple[str | None, float]:
     for label, paths in (("added", [p for p, _ in mine if p not in other]),
                          ("missing", [p for p, _ in theirs if p not in ours])):
         if paths:
-            problems.append(f"{len(paths)} paths {label} "
-                            f"(first {name}{paths[0]})")
+            problems.append(f"{label} paths: {len(paths)}, "
+                            f"first {name}{paths[0]}")
     worst = math.inf if problems else 0.0
     changed = None
     for path, a in mine:

@@ -56,7 +56,10 @@ def parse_grid(text: str) -> tuple:
 
 def parse_sizes(text: str) -> tuple:
     """Comma-separated sample sizes (a fraction is dropped)."""
-    return tuple(int(v) for v in parse_grid(text))
+    try:
+        return tuple(int(v) for v in parse_grid(text))
+    except OverflowError:  # int(inf)
+        raise ValueError(f"sample sizes {text!r} are not finite") from None
 
 
 # One table per subcommand, {key: (type, default)}; see kernelrisk.config.

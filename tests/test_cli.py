@@ -205,10 +205,12 @@ def test_config_value_passes_flag_type(argv, tmp_path):
     ('log_factor = "yes"', ["rates", "run"],
      "config key 'log_factor' takes true or false, not 'yes'"),
     ("sample = foo", ["covering", "fit"], "unknown sample 'foo'"),
+    ("n_grid = [100, 1e400]", ["rates", "run"],
+     "config key 'n_grid' = '100,Infinity': sample sizes"),
 ], ids=["lam", "alpha", "domain", "config-kernel", "config-kernel-covering",
         "config-noise", "config-truth", "config-unknown-key",
         "config-key-of-other-command", "config-int", "config-float",
-        "config-switch", "config-sample"])
+        "config-switch", "config-sample", "config-sizes-inf"])
 def test_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "bad.cfg"

@@ -62,8 +62,8 @@ def test_added_path_does_not_hide_a_changed_value():
     theirs = [["a", 1], ["b", 0.6]]
     problem, worst = od.compare("g", mine, theirs)
     assert worst == math.inf
-    assert "1 paths added (first gnew)" in problem
+    assert "added paths: 1, first gnew" in problem
     assert "gb: 0.5 against 0.6" in problem
     problem, _ = od.compare("g", theirs, mine)
-    assert "1 paths missing (first gnew)" in problem
+    assert "missing paths: 1, first gnew" in problem
     assert "gb: 0.6 against 0.5" in problem
