@@ -14,7 +14,10 @@ the outputs of one checkout and compare the other against the dump,
     PYTHONPATH=src python3 scripts/output_digest.py --against before.json
 
 which passes when every group is byte-identical or when ints, bools and
-strings are equal and floats agree within 1e-12 relative.  Text output (CLI
+strings are equal and floats agree within 1e-12 relative.  The dump of the
+current tree is committed as ``tests/data/output_digest.json``, and
+``tests/test_output_digest.py`` runs ``--against`` it; a change that moves
+outputs on purpose rewrites it with ``--dump``.  Text output (CLI
 stdout, CSV and JSON files) is compared token by token: the numbers in it
 as numbers, the text between them as equal strings.  The exit code is
 nonzero when a group differs.
@@ -254,8 +257,7 @@ def main(argv=None) -> int:
     groups = {
         "fits": fits,
         "run_trial": lambda: [
-            run_trial(m1, MATERN, alpha, 0.05, 80, i, 3, measure_power=True,
-                      mc_points=5000)
+            run_trial(m1, MATERN, alpha, 0.05, 80, i, 3, mc_points=5000)
             for alpha in (1.0, 1.5, 2.0) for i in (0, 1)],
         "rate_experiment": lambda: rate_experiment(
             m1, MATERN, 1.5, 0.6, (40, 80), 2, 4, covering_exponent=1.0,

@@ -162,20 +162,23 @@ def oracle_epsilon_terms(inp: BoundInputs) -> dict[str, float]:
             raise ValueError("negative exponent denominator: inputs outside "
                              "the valid regime")
 
-    def power_term(num, lam_pow, num_exp, denom):
-        base = num / (lam**lam_pow * n)
-        exponent = math.inf if denom <= 0.0 else num_exp / denom
-        return extended_power(base, exponent)
-
     return {
         "approx_plus_lam": inp.approx_error + lam,
-        "covering_main": power_term(
-            K * a, (2.0 * alpha * p + v * (2.0 - p)) / 4.0, 4.0, d2),
-        "covering_growth": power_term(
-            K * a, alpha * (2.0 + p) / 4.0, 4.0, d3),
-        "confidence_main": power_term(K * x, v / 2.0, 2.0, d4),
-        "confidence_growth": power_term(K * x, alpha / 2.0, 2.0, d5),
+        "covering_main": _power_term(
+            K * a, lam, (2.0 * alpha * p + v * (2.0 - p)) / 4.0, n, 4.0, d2),
+        "covering_growth": _power_term(
+            K * a, lam, alpha * (2.0 + p) / 4.0, n, 4.0, d3),
+        "confidence_main": _power_term(K * x, lam, v / 2.0, n, 2.0, d4),
+        "confidence_growth": _power_term(K * x, lam, alpha / 2.0, n, 2.0, d5),
     }
+
+
+def _power_term(num, lam, lam_pow, n, num_exp, denom):
+    """(num / (lam^lam_pow n))^(num_exp / denom), with an infinite exponent
+    at denom <= 0 and an infinite base where lam^lam_pow underflows to 0."""
+    scale = lam**lam_pow * n
+    base = num / scale if scale > 0.0 else math.inf
+    return extended_power(base, math.inf if denom <= 0.0 else num_exp / denom)
 
 
 def oracle_epsilon_threshold(inp: BoundInputs) -> float:
@@ -292,7 +295,9 @@ def power_loss_epsilon_threshold(alpha: float, p: float, K_alpha: float,
 
         max{approx_error + lam,
             lam^(-alpha/(2-alpha)) (K_alpha a / n)^(4/((2+p)(2-alpha))),
-            lam^(-alpha/(2-alpha)) (K_alpha x / n)^(2/(2-alpha))}.
+            lam^(-alpha/(2-alpha)) (K_alpha x / n)^(2/(2-alpha))},
+
+    which is the master threshold at v = alpha, theta = 1.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie strictly between 1 and 2")
@@ -300,21 +305,18 @@ def power_loss_epsilon_threshold(alpha: float, p: float, K_alpha: float,
         raise ValueError("invalid threshold inputs")
     if not 0.0 < lam <= 1.0 or approx_error < 0.0:
         raise ValueError("lam in (0, 1], approx_error >= 0")
-    lam_blowup = extended_power(1.0 / lam, alpha / (2.0 - alpha))
-    if simplified:
-        if n < K_alpha * a:
-            raise ValueError("simplified threshold requires n >= K_alpha * a")
-        tail = (lam_blowup
-                * extended_power(x, 2.0 / (2.0 - alpha))
-                * extended_power(K_alpha * a / n,
-                                 4.0 / ((2.0 + p) * (2.0 - alpha))))
-        return approx_error + lam + tail
-    return max(
-        approx_error + lam,
-        lam_blowup * extended_power(K_alpha * a / n,
-                                    4.0 / ((2.0 + p) * (2.0 - alpha))),
-        lam_blowup * extended_power(K_alpha * x / n, 2.0 / (2.0 - alpha)),
-    )
+    if not simplified:
+        return oracle_epsilon_threshold(BoundInputs(
+            covering_scale=a, covering_exponent=p, growth_exponent=alpha,
+            variance_power=alpha, variance_exponent=1.0, variance_scale=1.0,
+            threshold_constant=K_alpha, lam=lam, n=n, confidence=x,
+            approx_error=approx_error))
+    if n < K_alpha * a:
+        raise ValueError("simplified threshold requires n >= K_alpha * a")
+    # one power of one base, so no factor overflows while another underflows
+    return approx_error + lam + _power_term(
+        K_alpha * a * extended_power(x, (2.0 + p) / 2.0), lam,
+        alpha * (2.0 + p) / 4.0, n, 4.0, (2.0 + p) * (2.0 - alpha))
 
 
 def l2_rate_exponent(kappa: float, p: float, alpha: float) -> float:

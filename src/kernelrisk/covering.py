@@ -15,7 +15,7 @@ exponent fitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class CoveringEstimate:
     used: np.ndarray
     fit_residual: float
     out_of_model: bool
-    flags: tuple[str, ...] = field(default_factory=tuple)
+    flags: tuple[str, ...]
 
     def curve(self, delta) -> np.ndarray:
         return self.scale * np.asarray(delta, dtype=float) ** (-self.exponent)

@@ -90,10 +90,10 @@ def empirical_min_risk(spec: LossSpec, train: TrainingSet,
 
 def run_trial(model: DataModel, kernel: Kernel, alpha: float, lam: float,
               n: int, seed_index: int, master_seed: int,
-              solver_tolerance: float = 1e-7, measure_power: bool = False,
-              mc_points: int = 100_000,
+              solver_tolerance: float = 1e-7, mc_points: int = 0,
               eval_budget: int = 16384) -> TrialRecord:
-    """Draw data, fit, and measure; bit-reproducible given the seed pair."""
+    """Draw data, fit, and measure; bit-reproducible given the seed pair.
+    The excess power risk takes ``mc_points`` Monte-Carlo points (None at 0)."""
     ss = trial_seed(master_seed, seed_index)
     data_seed, mc_seed = ss.spawn(2)
     train = generate(model, n, data_seed)
@@ -103,7 +103,7 @@ def run_trial(model: DataModel, kernel: Kernel, alpha: float, lam: float,
 
     exc2 = excess_l2_risk(model, result.f, eval_budget=eval_budget)
     exc_a = se_a = None
-    if measure_power:
+    if mc_points > 0:
         exc_a, se_a = excess_power_risk(model, result.f, alpha, mc_points,
                                         mc_seed)
 
@@ -160,7 +160,7 @@ class RateReport:
     slope_se: float
     predicted_rho: float
     verdict: str
-    records: tuple[TrialRecord, ...] = field(repr=False, default=())
+    records: tuple[TrialRecord, ...] = field(repr=False)
 
     ROW_HEADER = ("n", "mean_excess_l2", "stderr")
 
@@ -201,6 +201,7 @@ def rate_experiment(model: DataModel, kernel: Kernel, alpha: float,
         raise ValueError("n_grid must contain at least two sample sizes")
     if trials_per_n < 2:
         raise ValueError("need at least two trials per sample size")
+    rho = l2_rate_exponent(kappa, covering_exponent, alpha)
 
     records: list[TrialRecord] = []
     means, ses = [], []
@@ -215,7 +216,7 @@ def rate_experiment(model: DataModel, kernel: Kernel, alpha: float,
                             seed_index=level * trials_per_n + t,
                             master_seed=master_seed,
                             solver_tolerance=solver_tolerance,
-                            measure_power=mc_points > 0, mc_points=mc_points)
+                            mc_points=mc_points)
             records.append(rec)
             vals.append(rec.excess_l2)
         vals = np.asarray(vals)
@@ -223,7 +224,6 @@ def rate_experiment(model: DataModel, kernel: Kernel, alpha: float,
         ses.append(float(vals.std(ddof=1) / math.sqrt(trials_per_n)))
 
     slope, slope_se = loglog_slope(n_grid, means, ses)
-    rho = l2_rate_exponent(kappa, covering_exponent, alpha)
     if rho <= 0 or math.isinf(rho):
         verdict = "no-finite-rate"
     else:
@@ -249,7 +249,7 @@ class RobustnessReport:
     rows: tuple[tuple, ...]  # (eta, alpha, mean, stderr, trials)
     robust_alpha: float | None
     robust_beats_l2_at_max_eta: bool | None
-    asymmetric: bool = False
+    asymmetric: bool
 
     ROW_HEADER = ("eta", "alpha", "mean_excess_l2", "stderr", "trials")
 

@@ -14,7 +14,9 @@ minimizer and no pass is taken.  For alpha in (1, 2) a pass models the loss
 with s times the curvature of its quadratic majorizer: s = 1 is the
 majorizer, s = alpha - 1 is Newton's method.  Full steps move s toward
 Newton and damped steps back toward the majorizer, which roughly halves the
-passes a fit needs against the majorizer alone.
+passes a fit needs against the majorizer alone.  At alpha = 1 the residual
+floor of the reweighting follows the certified gap down (Daubechies et al.
+2010, Comm. Pure Appl. Math. 63(1)), so it needs no schedule of levels.
 """
 
 from __future__ import annotations
@@ -39,17 +41,14 @@ __all__ = [
     "fit_result_record",
 ]
 
-# Residual floors mu of the alpha = 1 reweighting, 1 / (2 max(|u|, mu)).  A
-# pass at floor mu is a descent step on the Huber-mu smoothing of |u|, whose
-# minimizer has a true duality gap of at most mu / 4; the floor moves to the
-# next level once the gap is at most mu, or once no step at mu lowers the
-# true objective (near the smoothed minimizer the two disagree).
-_MU_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
-
-# Residual-magnitude floor inside reweighting for alpha in (1, 2); keeps the
-# per-point curvature |u|^(alpha-2) finite.  Newton passes drive residuals
-# well below 1e-9, and a floor above them stalls the fit short of its gap.
+# Residual floor mu of the reweighting, max(|u|, mu): keeps the curvature
+# |u|^(alpha - 2) finite.  At alpha = 1 a pass at floor mu descends on the
+# Huber-mu smoothing of |u|, whose minimizer is within mu / 2 of min J, so the
+# floor follows the certified gap down to _IRLS_FLOOR and is cut by
+# _FLOOR_CUT when no step at it lowers the true J.  Newton passes for alpha
+# in (1, 2) drive residuals well below 1e-9; their floor stays at the lowest.
 _IRLS_FLOOR = 1e-12
+_FLOOR_CUT = 100.0
 
 # Most reweighted ridge passes one fit takes, and the steps a pass tries
 # along its direction; a majorizer pass that no step lowers J by ends the
@@ -124,7 +123,6 @@ class FitResult:
     converged: bool
     certified_gap: float
     rkhs_norm: float  # ||f||_H from the fit's own c'Kc
-    smoothing_used: float = 0.0
 
 
 class _Objective:
@@ -231,10 +229,11 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     it is Kc + alpha |r|^(alpha - 1) sign(r) / (2 s omega), which makes the
     direction -H_s^{-1} grad J for the model Hessian H_s of scale s.  Every
     fit starts at s = 1; s moves toward alpha - 1 (Newton) after full steps
-    and back toward 1 after damped ones, and stays at 1 for alpha = 1.  A
-    pass below s = 1 that does not lower J is retried at s = 1; a pass at
-    s = 1 that does not lower J moves to the next residual floor, and ends
-    the fit at the last one (alpha > 1 has a single floor).
+    and back toward 1 after damped ones, and stays at 1 for alpha = 1.
+    Before every pass the floor becomes max(min(floor, gap), 1e-12), from
+    +inf at alpha = 1 and from 1e-12 above it.  A pass below s = 1 that does
+    not lower J is retried at s = 1; a pass at s = 1 that does not lower J
+    cuts the floor by 100, and ends the fit once the floor is at 1e-12.
     """
     if spec.kind != "power":
         raise ValueError("only power losses are trainable")
@@ -246,8 +245,7 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     c = _spd_solve(_ridge_system(M, K, lam / w), y)
     obj, Kc = J(c)
     tol = cfg.objective_tolerance * abs(obj)
-    floors = iter(_MU_SCHEDULE if alpha == 1.0 else (_IRLS_FLOOR,))
-    floor = next(floors)
+    floor = math.inf if alpha == 1.0 else _IRLS_FLOOR
     newton = alpha - 1.0 if alpha > 1.0 else 1.0
     s = 1.0
     passes = 0
@@ -255,8 +253,7 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
         gap = J.gap(c, Kc, obj)
         if gap <= tol or passes == _MAX_PASSES:
             break
-        if gap <= floor:
-            floor = next(floors, floor)
+        floor = max(min(floor, gap), _IRLS_FLOOR)
         r = y - Kc
         omega = 0.5 * alpha * np.maximum(np.abs(r), floor) ** (alpha - 2.0)
         if s == 1.0:
@@ -273,13 +270,12 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
         for step in _STEPS:
             if J.change(c, Kc, d, Kd, step) < 0:
                 break
-        else:  # no step lowers J: retry as the majorizer, then at the next
-            # floor, and end uncertified after the last one
+        else:  # no step lowers J: retry as the majorizer, then at a lower
+            # floor, and end uncertified at the lowest one
             if s == 1.0:
-                lower = next(floors, None)
-                if lower is None:
+                if floor == _IRLS_FLOOR:
                     break
-                floor = lower
+                floor /= _FLOOR_CUT
             s = 1.0
             continue
         s = (max(newton, s / _CURVATURE_MOVE) if step == 1.0
@@ -290,8 +286,7 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     return FitResult(KernelExpansion(kernel, train.xs, c), obj,
                      iterations=1 + passes, converged=gap <= tol,
                      certified_gap=gap,
-                     rkhs_norm=math.sqrt(_clamped_square_norm(float(c @ Kc))),
-                     smoothing_used=floor if alpha == 1.0 else 0.0)
+                     rkhs_norm=math.sqrt(_clamped_square_norm(float(c @ Kc))))
 
 
 def objective(kernel: Kernel, spec: LossSpec, train: TrainingSet, lam: float,
@@ -319,7 +314,7 @@ def fit_result_record(result: FitResult, spec: LossSpec, lam: float) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "certified_gap": result.certified_gap,
-        "smoothing_used": result.smoothing_used,
+        "smoothing_used": 0.0,  # kept so fit records keep their keys
         "method": ("closed_form_quadratic" if spec.alpha == 2.0
                    else "proximal_first_order"),
     }

@@ -67,8 +67,8 @@ class OracleCheckReport:
     target_probability: float
     binomial_se: float
     passed: bool
-    calibration_excesses: tuple[float, ...] = field(repr=False, default=())
-    fresh_excesses: tuple[float, ...] = field(repr=False, default=())
+    calibration_excesses: tuple[float, ...] = field(repr=False)
+    fresh_excesses: tuple[float, ...] = field(repr=False)
 
     ROW_HEADER = ("alpha", "lam", "n", "confidence", "calibrated_constant",
                   "epsilon", "approx_error", "frequency",

@@ -243,6 +243,44 @@ class TestPowerLossThreshold:
                                                 simplified=False)
             assert simp >= full - 1e-12 * max(1.0, abs(full))
 
+    def test_extreme_inputs_give_no_nan_and_the_master_threshold(self):
+        # alpha near 2 with small lam: lam^(-alpha/(2-alpha)) overflows while
+        # the other power underflows; their product must not turn into NaN,
+        # and the unsimplified form is the master threshold at v = alpha,
+        # theta = 1.  The first two cases are `bounds eval` runs; in the next
+        # two lam^(alpha (2+p) / 4) underflows and x^((2+p) / 2) overflows.
+        cases = [(1.99, 1.0, 1.0, 1.0, 1000.0, 1.0, 1e-3, 0.0),
+                 (1.5, 1.0, 1.0, 1.0, 1000.0, 1.0, 0.1, 0.0),
+                 (1.5, 1.0, 1.0, 1.0, 1000.0, 1.0, 1e-300, 0.0),
+                 (1.5, 1.0, 1.0, 1.0, 1000.0, 1e250, 0.1, 0.0)]
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            lam = 10.0 ** rng.uniform(-4.0, 0.0)
+            cases.append((rng.uniform(1.001, 1.999), rng.uniform(0.05, 1.95),
+                          rng.uniform(1.0, 5.0), rng.uniform(1.0, 10.0),
+                          10.0 ** rng.uniform(0.0, 6.0),
+                          rng.uniform(1.0, 10.0), lam, rng.uniform(0.0, lam)))
+        for alpha, p, K, a, n, x, lam, ae in cases:
+            master = oracle_epsilon_threshold(BoundInputs(
+                covering_scale=a, covering_exponent=p, growth_exponent=alpha,
+                variance_power=alpha, variance_exponent=1.0,
+                variance_scale=1.0, threshold_constant=K, lam=lam, n=n,
+                confidence=x, approx_error=ae))
+            full = power_loss_epsilon_threshold(alpha, p, K, a, n, x, lam, ae,
+                                                simplified=False)
+            assert not math.isnan(full)
+            assert full == master or \
+                abs(full - master) <= 1e-12 * abs(master), (full, master)
+            if n >= K * a:
+                simp = power_loss_epsilon_threshold(alpha, p, K, a, n, x,
+                                                    lam, ae)
+                assert not math.isnan(simp)
+                # equal in exact arithmetic at x = 1; in the first case the
+                # exponent 4/((2+p)(2-alpha)) = 133 magnifies rounding, and
+                # the master reads 1.0000000000097e197 against the exact
+                # 9.9999999999959e196 (the simplified form 9.9999999999960e196)
+                assert simp >= full * (1.0 - 1e-10), (simp, full)
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             power_loss_epsilon_threshold(1.5, 1.0, K_alpha=4.0, a=10.0, n=20.0,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kernelrisk import experiments
 from kernelrisk.data import DataModel, UniformNoise
 from kernelrisk.experiments import (
     RateReport,
@@ -73,8 +74,7 @@ class TestRunTrial:
 
     def test_excess_fields(self):
         model = make_model()
-        rec = run_trial(model, KERN, 1.5, 0.05, 60, 0, 3, measure_power=True,
-                        mc_points=20_000)
+        rec = run_trial(model, KERN, 1.5, 0.05, 60, 0, 3, mc_points=20_000)
         assert rec.excess_l2 >= 0.0
         assert rec.excess_power is not None
         assert rec.excess_power_se > 0.0
@@ -128,6 +128,21 @@ class TestRateExperiment:
             rate_experiment(model, KERN, 2.0, 0.5, n_grid=(100,),
                             trials_per_n=4, master_seed=0,
                             covering_exponent=1.0)
+
+    @pytest.mark.parametrize("alpha, kappa, p", [(1.0, 0.5, 1.0),
+                                                 (1.5, 0.0, 1.0),
+                                                 (1.5, 0.5, 2.5)],
+                             ids=["alpha", "kappa", "covering-exponent"])
+    def test_rejects_bad_rate_inputs_before_any_trial(self, monkeypatch,
+                                                       alpha, kappa, p):
+        def no_trial(*args, **kwargs):
+            pytest.fail("a trial ran before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "run_trial", no_trial)
+        with pytest.raises(ValueError):
+            rate_experiment(make_model(), KERN, alpha, kappa, n_grid=(40, 80),
+                            trials_per_n=2, master_seed=0,
+                            covering_exponent=p)
 
     def test_rows_are_plot_ready(self):
         model = make_model()

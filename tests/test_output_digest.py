@@ -1,13 +1,17 @@
-"""Tests for the comparison rules of scripts/output_digest.py."""
+"""Tests for the comparison rules of scripts/output_digest.py, and the
+seeded outputs checked against the committed dump."""
 
 import importlib.util
 import math
 import os
 import pathlib
+import subprocess
+import sys
 from unittest import mock
 
-SCRIPT = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
-          / "output_digest.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "output_digest.py"
+DUMP = ROOT / "tests" / "data" / "output_digest.json"
 
 
 def load_script():
@@ -67,3 +71,17 @@ def test_added_path_does_not_hide_a_changed_value():
     problem, _ = od.compare("g", theirs, mine)
     assert "missing paths: 1, first gnew" in problem
     assert "gb: 0.6 against 0.5" in problem
+
+
+def test_seeded_outputs_match_the_committed_dump():
+    # a subprocess, so the script pins BLAS threads before numpy loads; a
+    # change that moves seeded outputs on purpose rewrites the dump with
+    # `PYTHONPATH=src python3 scripts/output_digest.py --dump` and names the
+    # moved groups in CHANGES.md
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--against",
+                           str(DUMP)], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
