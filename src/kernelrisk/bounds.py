@@ -281,23 +281,23 @@ def deviation_modulus_bound(a: float, p: float, lam: float,
 
 def power_loss_epsilon_threshold(alpha: float, p: float, K_alpha: float,
                                  a: float, n: float, x: float, lam: float,
-                                 approx_error: float,
-                                 simplified: bool = True) -> float:
-    """Excess power-loss risk threshold for alpha in (1, 2).
+                                 approx_error: float) -> float:
+    """Simplified excess power-loss risk threshold for alpha in (1, 2).
 
-    The simplified sufficient form (valid for n >= K_alpha * a) is
+    This sufficient form, valid for n >= K_alpha * a, is
 
         approx_error + lam
             + lam^(-alpha/(2-alpha)) x^(2/(2-alpha))
-              (K_alpha a / n)^(4 / ((2+p)(2-alpha)));
+              (K_alpha a / n)^(4 / ((2+p)(2-alpha))).
 
-    with ``simplified=False`` the unreduced three-term max is returned:
+    It dominates the unreduced three-term max
 
         max{approx_error + lam,
             lam^(-alpha/(2-alpha)) (K_alpha a / n)^(4/((2+p)(2-alpha))),
             lam^(-alpha/(2-alpha)) (K_alpha x / n)^(2/(2-alpha))},
 
-    which is the master threshold at v = alpha, theta = 1.
+    which is :func:`oracle_epsilon_threshold` at variance_power = alpha and
+    variance_exponent = 1.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie strictly between 1 and 2")
@@ -305,12 +305,6 @@ def power_loss_epsilon_threshold(alpha: float, p: float, K_alpha: float,
         raise ValueError("invalid threshold inputs")
     if not 0.0 < lam <= 1.0 or approx_error < 0.0:
         raise ValueError("lam in (0, 1], approx_error >= 0")
-    if not simplified:
-        return oracle_epsilon_threshold(BoundInputs(
-            covering_scale=a, covering_exponent=p, growth_exponent=alpha,
-            variance_power=alpha, variance_exponent=1.0, variance_scale=1.0,
-            threshold_constant=K_alpha, lam=lam, n=n, confidence=x,
-            approx_error=approx_error))
     if n < K_alpha * a:
         raise ValueError("simplified threshold requires n >= K_alpha * a")
     # one power of one base, so no factor overflows while another underflows

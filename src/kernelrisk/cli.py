@@ -18,6 +18,7 @@ one-line usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -214,10 +215,8 @@ def cmd_bounds_eval(args, opts: dict) -> int:
                              inp.n, inp.confidence, inp.lam,
                              inp.approx_error)))
         rows.append(("power_loss_epsilon_threshold_unsimplified",
-                     bounds.power_loss_epsilon_threshold(
-                         alpha, inp.covering_exponent, inp.threshold_constant,
-                         inp.covering_scale, inp.n, inp.confidence, inp.lam,
-                         inp.approx_error, simplified=False)))
+                     bounds.oracle_epsilon_threshold(dataclasses.replace(
+                         inp, variance_power=alpha, variance_exponent=1.0))))
     if alpha > 1.0:
         rows.append(("power_loss_variance_constant",
                      bounds.power_loss_variance_constant(

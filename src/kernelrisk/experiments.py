@@ -131,8 +131,8 @@ def loglog_slope(ns, means, stderrs) -> tuple[float, float]:
     ns = np.asarray(ns, dtype=float)
     means = np.asarray(means, dtype=float)
     stderrs = np.asarray(stderrs, dtype=float)
-    if len(ns) < 2:
-        raise ValueError("need at least two sample sizes to fit a slope")
+    if len(np.unique(ns)) < 2:
+        raise ValueError("need two distinct sample sizes to fit a slope")
     if np.any(means <= 0):
         raise ValueError("all mean excess risks must be positive")
     x = np.log(ns)
@@ -199,17 +199,23 @@ def rate_experiment(model: DataModel, kernel: Kernel, alpha: float,
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2:
         raise ValueError("n_grid must contain at least two sample sizes")
+    if min(n_grid) < 1 or len(set(n_grid)) < len(n_grid):
+        raise ValueError(f"n_grid needs distinct sizes >= 1, got {n_grid}")
     if trials_per_n < 2:
         raise ValueError("need at least two trials per sample size")
     rho = l2_rate_exponent(kappa, covering_exponent, alpha)
-
-    records: list[TrialRecord] = []
-    means, ses = [], []
-    for level, n in enumerate(n_grid):
+    lams = []
+    for n in n_grid:
         lam = float(n) ** (-kappa)
         if log_factor:
             lam *= math.log(n)
-        lam = min(lam, 1.0)
+        if not lam > 0:
+            raise ValueError(f"the schedule gives lam = {lam} <= 0 at n = {n}")
+        lams.append(min(lam, 1.0))
+
+    records: list[TrialRecord] = []
+    means, ses = [], []
+    for level, (n, lam) in enumerate(zip(n_grid, lams)):
         vals = []
         for t in range(trials_per_n):
             rec = run_trial(model, kernel, alpha, lam, n,

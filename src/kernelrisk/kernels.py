@@ -239,20 +239,20 @@ def kernel_from_config(cfg: dict) -> Kernel:
 
 
 def kernel_matrix(kernel: Kernel, points) -> np.ndarray:
-    """Symmetric Gram matrix K[i, j] = k(points_i, points_j).
+    """Gram matrix K[i, j] = k(points_i, points_j), exactly symmetric.
 
     Points must lie inside the kernel's domain box.  The result is
     positive semidefinite up to rounding (min eigenvalue >= -1e-8 * trace).
+    Symmetry holds bit for bit, as the solver's in-place factorization of
+    K.T needs: x_i - x_j is exactly -(x_j - x_i), numpy forms ``pts @ pts.T``
+    as a symmetric rank-k update, and ``np.add.outer`` is commutative.
     """
     pts = as_points(points, kernel.dim)
     inside = kernel.domain.contains(pts)
     if not np.all(inside):
         bad = pts[~inside][0]
         raise DomainError(f"point {bad} outside domain box {kernel.domain}")
-    K = kernel.pairwise(pts, pts)
-    K += K.T
-    K *= 0.5
-    return K
+    return kernel.pairwise(pts, pts)
 
 
 # Above this many kernel evaluations (n centers times m points), expansion

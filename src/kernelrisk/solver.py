@@ -189,9 +189,10 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
 def _spd_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M c = rhs for SPD M; destroys M (callers refill it).
 
-    M is exactly symmetric, so its transpose is the same matrix already in
-    the Fortran order that LAPACK factors in place; passing the C-ordered M
-    itself would make f2py copy all n x n entries first.
+    M is exactly symmetric, because :func:`kernel_matrix` builds K so and
+    the ridge system only adds to its diagonal.  Its transpose is thus the
+    same matrix already in the Fortran order that LAPACK factors in place;
+    passing the C-ordered M itself would make f2py copy all n x n entries.
     """
     try:
         return cho_solve(

@@ -160,22 +160,17 @@ def oracle_probability_check(
     make_inputs(1.0)  # rejects bad inputs before the first fit
 
     # calibration stream: indices 0 .. n_cal-1; fresh: n_cal .. trials-1
-    cal = np.array([
+    excesses = np.array([
         _trial_excess(model, kernel, alpha, lam, n, i, master_seed, mc_points)
-        for i in range(n_cal)
+        for i in range(trials)
     ])
+    cal, fresh = excesses[:n_cal], excesses[n_cal:]
     target_prob = 1.0 - math.exp(-x)
     target_eps = float(np.quantile(cal - approx, target_prob,
                                    method="higher"))
 
     constant = _smallest_constant(make_inputs, target_eps)
     eps = oracle_epsilon_threshold(make_inputs(constant))
-
-    fresh = np.array([
-        _trial_excess(model, kernel, alpha, lam, n, n_cal + i, master_seed,
-                      mc_points)
-        for i in range(n_fresh)
-    ])
     frequency = float(np.mean(fresh < approx + eps))
     se = math.sqrt(target_prob * (1.0 - target_prob) / n_fresh)
     passed = frequency >= target_prob - 2.0 * se
@@ -234,6 +229,8 @@ def variance_bound_check(model: DataModel, alpha: float,
     """
     if not model.symmetric:
         raise ValueError("the variance bound needs symmetric conditionals")
+    if n_functions < 1 or mc_points < 2:
+        raise ValueError("need n_functions >= 1 and mc_points >= 2")
     rng = np.random.default_rng(trial_seed(master_seed, 977))
     box = model.domain
     rows = []
@@ -385,6 +382,8 @@ def calibration_check(model: DataModel, alpha: float, n_functions: int = 20,
     if not model.symmetric:
         raise ValueError("the calibration inequality needs symmetric "
                          "conditionals")
+    if n_functions < 1 or mc_points < 2:
+        raise ValueError("need n_functions >= 1 and mc_points >= 2")
     rng = np.random.default_rng(trial_seed(master_seed, 1753))
     rows = []
     all_passed = True

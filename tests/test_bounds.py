@@ -207,6 +207,15 @@ class TestDeviationModulusBound:
         assert scaled == pytest.approx(base, rel=1e-10)
 
 
+def power_loss_master(alpha, p, K, a, n, x, lam, ae):
+    """The unreduced power-loss threshold: the master at v = alpha and
+    theta = 1."""
+    return oracle_epsilon_threshold(BoundInputs(
+        covering_scale=a, covering_exponent=p, growth_exponent=alpha,
+        variance_power=alpha, variance_exponent=1.0, variance_scale=1.0,
+        threshold_constant=K, lam=lam, n=n, confidence=x, approx_error=ae))
+
+
 class TestPowerLossThreshold:
     def test_all_ratios_one(self):
         val = power_loss_epsilon_threshold(alpha=1.5, p=1.0, K_alpha=1.0,
@@ -239,16 +248,16 @@ class TestPowerLossThreshold:
             lam = rng.uniform(0.01, 1.0)
             ae = rng.uniform(0.0, lam)
             simp = power_loss_epsilon_threshold(alpha, p, K, a, n, x, lam, ae)
-            full = power_loss_epsilon_threshold(alpha, p, K, a, n, x, lam, ae,
-                                                simplified=False)
+            full = power_loss_master(alpha, p, K, a, n, x, lam, ae)
             assert simp >= full - 1e-12 * max(1.0, abs(full))
 
     def test_extreme_inputs_give_no_nan_and_the_master_threshold(self):
         # alpha near 2 with small lam: lam^(-alpha/(2-alpha)) overflows while
         # the other power underflows; their product must not turn into NaN,
-        # and the unsimplified form is the master threshold at v = alpha,
-        # theta = 1.  The first two cases are `bounds eval` runs; in the next
-        # two lam^(alpha (2+p) / 4) underflows and x^((2+p) / 2) overflows.
+        # and the simplified form must dominate the master threshold at
+        # v = alpha, theta = 1.  The first two cases are `bounds eval` runs; in
+        # the next two lam^(alpha (2+p) / 4) underflows and x^((2+p) / 2)
+        # overflows.
         cases = [(1.99, 1.0, 1.0, 1.0, 1000.0, 1.0, 1e-3, 0.0),
                  (1.5, 1.0, 1.0, 1.0, 1000.0, 1.0, 0.1, 0.0),
                  (1.5, 1.0, 1.0, 1.0, 1000.0, 1.0, 1e-300, 0.0),
@@ -261,16 +270,8 @@ class TestPowerLossThreshold:
                           10.0 ** rng.uniform(0.0, 6.0),
                           rng.uniform(1.0, 10.0), lam, rng.uniform(0.0, lam)))
         for alpha, p, K, a, n, x, lam, ae in cases:
-            master = oracle_epsilon_threshold(BoundInputs(
-                covering_scale=a, covering_exponent=p, growth_exponent=alpha,
-                variance_power=alpha, variance_exponent=1.0,
-                variance_scale=1.0, threshold_constant=K, lam=lam, n=n,
-                confidence=x, approx_error=ae))
-            full = power_loss_epsilon_threshold(alpha, p, K, a, n, x, lam, ae,
-                                                simplified=False)
-            assert not math.isnan(full)
-            assert full == master or \
-                abs(full - master) <= 1e-12 * abs(master), (full, master)
+            master = power_loss_master(alpha, p, K, a, n, x, lam, ae)
+            assert not math.isnan(master)
             if n >= K * a:
                 simp = power_loss_epsilon_threshold(alpha, p, K, a, n, x,
                                                     lam, ae)
@@ -279,7 +280,7 @@ class TestPowerLossThreshold:
                 # exponent 4/((2+p)(2-alpha)) = 133 magnifies rounding, and
                 # the master reads 1.0000000000097e197 against the exact
                 # 9.9999999999959e196 (the simplified form 9.9999999999960e196)
-                assert simp >= full * (1.0 - 1e-10), (simp, full)
+                assert simp >= master * (1.0 - 1e-10), (simp, master)
 
     def test_precondition(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,8 @@ class TestSlopeFit:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
             loglog_slope([100], [0.1], [0.01])
+        with pytest.raises(ValueError):
+            loglog_slope([100, 100], [0.1, 0.2], [0.01, 0.01])
 
 
 class TestRateExperiment:
@@ -129,20 +131,27 @@ class TestRateExperiment:
                             trials_per_n=4, master_seed=0,
                             covering_exponent=1.0)
 
-    @pytest.mark.parametrize("alpha, kappa, p", [(1.0, 0.5, 1.0),
-                                                 (1.5, 0.0, 1.0),
-                                                 (1.5, 0.5, 2.5)],
-                             ids=["alpha", "kappa", "covering-exponent"])
-    def test_rejects_bad_rate_inputs_before_any_trial(self, monkeypatch,
-                                                       alpha, kappa, p):
+    @pytest.mark.parametrize(
+        "alpha, kappa, p, n_grid, log_factor",
+        [(1.0, 0.5, 1.0, (40, 80), False),
+         (1.5, 0.0, 1.0, (40, 80), False),
+         (1.5, 0.5, 2.5, (40, 80), False),
+         (1.5, 0.5, 1.0, (40, 40), False),
+         (1.5, 0.5, 1.0, (0, 40), False),
+         (1.5, 0.5, 1.0, (40, -5), False),
+         (1.5, 0.5, 1.0, (40, 1), True)],
+        ids=["alpha", "kappa", "covering-exponent", "repeated-size",
+             "zero-size", "negative-size", "zero-lam"])
+    def test_rejects_bad_rate_inputs_before_any_trial(
+            self, monkeypatch, alpha, kappa, p, n_grid, log_factor):
         def no_trial(*args, **kwargs):
             pytest.fail("a trial ran before the inputs were checked")
 
         monkeypatch.setattr(experiments, "run_trial", no_trial)
         with pytest.raises(ValueError):
-            rate_experiment(make_model(), KERN, alpha, kappa, n_grid=(40, 80),
+            rate_experiment(make_model(), KERN, alpha, kappa, n_grid=n_grid,
                             trials_per_n=2, master_seed=0,
-                            covering_exponent=p)
+                            covering_exponent=p, log_factor=log_factor)
 
     def test_rows_are_plot_ready(self):
         model = make_model()

@@ -115,6 +115,41 @@ class TestKernelMatrix:
         w = np.linalg.eigvalsh(K)
         assert w.min() >= -1e-8 * np.trace(K)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 257])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["gaussian", "linear", "matern-1/2",
+                                        "matern-3/2", "matern-5/2"])
+    def test_gram_is_exactly_symmetric_for_every_layout(self, family, dim, n):
+        # The solver factors K's transpose in place as if it were K, and
+        # covering feeds K to eigvalsh, so symmetry must hold bit for bit.
+        box = Box((0.0,) * dim, (1.0,) * dim)
+        if family == "gaussian":
+            k = Kernel("gaussian", box, width=0.3)
+        elif family == "linear":
+            k = Kernel("linear", box)
+        else:
+            nu = {"matern-1/2": 0.5, "matern-3/2": 1.5,
+                  "matern-5/2": 2.5}[family]
+            k = Kernel("matern", box, sobolev_order=nu + dim / 2,
+                       length_scale=0.25)
+        rng = np.random.default_rng(100 * n + dim)
+        base = rng.uniform(0.0, 1.0, size=(2 * n, 2 * dim))
+        pts = np.ascontiguousarray(base[:n, :dim])
+        layouts = {
+            "c-order": pts,
+            "fortran-order": np.asfortranarray(pts),
+            "strided-view": base[::2, ::2],
+            "list": pts.tolist(),
+            "integer": rng.integers(0, 2, size=(n, dim)),
+        }
+        if dim == 1:
+            layouts["flat"] = pts.ravel()
+            layouts["flat-strided-view"] = base[::2, 0]
+        for name, x in layouts.items():
+            K = kernel_matrix(k, x)
+            assert K.shape == (n, n), name
+            assert np.array_equal(K, K.T), name
+
     def test_diagonal_at_most_one(self):
         for k in (gaussian(0.4), exponential(0.7), Kernel("linear", BOX2)):
             pts = k.domain.uniform_grid(9)

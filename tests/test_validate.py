@@ -171,6 +171,20 @@ class TestCalibrationCheck:
             assert row[2] >= 1.0  # factor at least one
 
 
+@pytest.mark.parametrize("check", [variance_bound_check, calibration_check],
+                         ids=["variance", "calibration"])
+@pytest.mark.parametrize("n_functions, mc_points", [(0, 1000), (2, 1)],
+                         ids=["no-functions", "one-mc-point"])
+def test_monte_carlo_checks_reject_untestable_sizes_before_any_draw(
+        monkeypatch, check, n_functions, mc_points):
+    def no_draw(*args, **kwargs):
+        pytest.fail("a function was drawn before the inputs were checked")
+
+    monkeypatch.setattr(validate, "_random_expansion", no_draw)
+    with pytest.raises(ValueError):
+        check(make_model(), 1.5, n_functions=n_functions, mc_points=mc_points)
+
+
 class TestCostGapCheck:
     def test_all_pass_on_random_triples(self):
         from kernelrisk.validate import discrete_cost_gap_check
