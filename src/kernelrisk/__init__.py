@@ -19,15 +19,12 @@ from .kernels import (
     KernelExpansion,
     combine_expansions,
     kernel_matrix,
-    zero_expansion,
 )
 from .losses import (
     FiniteDistribution,
     LossSpec,
     calibration_inequality_factor,
-    hinge_loss,
     inner_risk,
-    lipschitz_constant,
     loss_value,
     minimal_inner_risk,
     modulus_of_convexity_bound,

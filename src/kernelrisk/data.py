@@ -42,7 +42,7 @@ class UniformNoise:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width < 0:
+        if not self.half_width >= 0:
             raise ValueError("half_width must be nonnegative")
 
     @property
@@ -67,7 +67,7 @@ class TruncatedGaussianNoise:
     half_width: float
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.half_width <= 0:
+        if not (self.sigma > 0 and self.half_width > 0):
             raise ValueError("sigma and half_width must be positive")
 
     @property
@@ -105,7 +105,7 @@ class ContaminatedNoise:
     def __post_init__(self):
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must lie in [0, 1]")
-        if self.outlier_magnitude < 0:
+        if not self.outlier_magnitude >= 0:
             raise ValueError("outlier_magnitude must be nonnegative")
 
     @property
@@ -142,7 +142,7 @@ class DataModel:
 
     def __post_init__(self):
         guard = self.f_star.sup_norm_bound() + self.noise.bound
-        if guard > 1.0 + 1e-9:
+        if not guard <= 1.0 + 1e-9:
             raise ValueError(
                 f"range guard violated: ||f*||_H + noise bound = {guard} > 1")
 

@@ -23,9 +23,7 @@ __all__ = [
     "DomainError",
     "IndefiniteGramError",
     "kernel_matrix",
-    "grid_sup_estimate",
     "combine_expansions",
-    "zero_expansion",
     "kernel_from_config",
 ]
 
@@ -63,8 +61,9 @@ class Box:
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("box needs matching, nonempty lower/upper bounds")
-        if any(l > u for l, u in zip(lo, hi)):
-            raise ValueError("box has lower > upper")
+        if not all(l < u and u - l < math.inf for l, u in zip(lo, hi)):
+            raise ValueError("box needs finite bounds with lower < upper "
+                             "on every axis")
 
     @property
     def dim(self) -> int:
@@ -83,12 +82,6 @@ class Box:
     def corners(self) -> np.ndarray:
         grids = np.meshgrid(*[(l, u) for l, u in zip(self.lower, self.upper)],
                             indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    def uniform_grid(self, points_per_dim: int) -> np.ndarray:
-        axes = [np.linspace(l, u, points_per_dim)
-                for l, u in zip(self.lower, self.upper)]
-        grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
     def to_config(self) -> dict:
@@ -148,14 +141,15 @@ class Kernel:
 
     def __post_init__(self):
         if self.family == "gaussian":
-            if self.width is None or self.width <= 0:
+            if self.width is None or not self.width > 0:
                 raise ValueError("gaussian kernel needs width > 0")
         elif self.family == "matern":
-            if self.length_scale is None or self.length_scale <= 0:
+            if self.length_scale is None or not self.length_scale > 0:
                 raise ValueError("matern kernel needs length_scale > 0")
-            if self.sobolev_order is None or self.sobolev_order < 1:
-                raise ValueError("matern kernel needs sobolev_order >= 1")
-            nu = self.sobolev_order - self.domain.dim / 2.0
+            order = self.sobolev_order
+            if order is None or not 1 <= order < math.inf:
+                raise ValueError("matern kernel needs finite sobolev_order >= 1")
+            nu = order - self.domain.dim / 2.0
             k = nu - 0.5
             if nu <= 0 or abs(k - round(k)) > 1e-12:
                 raise ValueError(
@@ -469,18 +463,6 @@ def _exponential_scan_eval(f: KernelExpansion, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_sup_estimate(f: KernelExpansion) -> float:
-    """Grid-scan lower estimate of ||f||_inf on about 10,000 points
-    (diagnostic only).
-
-    Never exceeds :meth:`KernelExpansion.sup_norm_bound`; the gap measures
-    the slack of the certified bound.
-    """
-    per_dim = max(2, int(round(10_000 ** (1.0 / f.kernel.dim))))
-    grid = f.kernel.domain.uniform_grid(per_dim)
-    return float(np.max(np.abs(f(grid)))) if len(grid) else 0.0
-
-
 def combine_expansions(f: KernelExpansion, g: KernelExpansion,
                        a: float = 1.0, b: float = 1.0) -> KernelExpansion:
     """The expansion a*f + b*g (both must share a kernel)."""
@@ -494,6 +476,3 @@ def combine_expansions(f: KernelExpansion, g: KernelExpansion,
     coefs = np.concatenate([a * f.coefficients, b * g.coefficients])
     return KernelExpansion(f.kernel, centers, coefs)
 
-
-def zero_expansion(kernel: Kernel) -> KernelExpansion:
-    return KernelExpansion(kernel, np.zeros((0, kernel.dim)), np.zeros(0))

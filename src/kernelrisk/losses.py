@@ -1,8 +1,7 @@
-"""Loss families and their analytic constants.
+"""The power loss family and its analytic constants.
 
-Implements the power losses L_alpha(y, t) = |y - t|^alpha for alpha in [1, 2]
-and the hinge loss max(0, 1 - y t), together with the quantities the risk
-bounds are built from: growth and Lipschitz constants, the modulus of
+Implements the power losses L_alpha(y, t) = |y - t|^alpha for alpha in [1, 2],
+together with the quantities the risk bounds are built from: the modulus of
 convexity of |.|^alpha on an interval, inner risks of discrete conditional
 distributions, and the calibration factor that transfers excess power-loss
 risk to excess squared-loss risk for symmetric conditionals.
@@ -21,14 +20,10 @@ __all__ = [
     "CalibrationFactor",
     "NotStrictlyConvexError",
     "power_loss",
-    "hinge_loss",
     "loss_value",
-    "lipschitz_constant",
-    "growth_constant",
     "modulus_of_convexity_bound",
     "inner_risk",
     "minimal_inner_risk",
-    "mean_template_inner_risk",
     "calibration_function_lower_bound",
     "calibration_inequality_factor",
 ]
@@ -44,81 +39,33 @@ class NotStrictlyConvexError(ValueError):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss family: ``power`` with exponent alpha in [1, 2], or ``hinge``."""
+    """The power loss |y - t|^alpha with exponent alpha in [1, 2]."""
 
-    kind: str
-    alpha: float | None = None
+    alpha: float
 
     def __post_init__(self):
-        if self.kind == "power":
-            if self.alpha is None or not 1.0 <= self.alpha <= 2.0:
-                raise ValueError("power loss needs alpha in [1, 2]")
-        elif self.kind == "hinge":
-            if self.alpha is not None:
-                raise ValueError("hinge loss takes no alpha")
-        else:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-
-    @property
-    def growth_exponent(self) -> float:
-        """Growth order: sup_y L(y, t) <= 2^(alpha-1) (1 + |t|^alpha).
-
-        Power losses have sup_y |y - t|^alpha = (1 + |t|)^alpha on
-        Y = [-1, 1]; the hinge loss grows linearly.  In particular the
-        risk of the zero function is at most 1 for every family here.
-        """
-        return self.alpha if self.kind == "power" else 1.0
+        if not 1.0 <= self.alpha <= 2.0:
+            raise ValueError("power loss needs alpha in [1, 2]")
 
     def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.alpha is not None:
-            cfg["alpha"] = self.alpha
-        return cfg
+        return {"kind": "power", "alpha": self.alpha}
 
     @staticmethod
     def from_config(cfg: dict) -> "LossSpec":
-        return LossSpec(cfg["kind"], cfg.get("alpha"))
+        if cfg.get("kind") != "power" or "alpha" not in cfg:
+            raise ValueError(f"not a power loss with an alpha: {cfg!r}")
+        return LossSpec(cfg["alpha"])
 
 
 def power_loss(alpha: float) -> LossSpec:
-    return LossSpec("power", float(alpha))
-
-
-def hinge_loss() -> LossSpec:
-    return LossSpec("hinge")
+    return LossSpec(float(alpha))
 
 
 def loss_value(spec: LossSpec, y, t):
     """L(y, t), vectorized over y and t with numpy broadcasting."""
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
-    if spec.kind == "power":
-        return np.abs(y - t) ** spec.alpha
-    return np.maximum(0.0, 1.0 - y * t)
-
-
-def lipschitz_constant(spec: LossSpec, bound: float) -> float:
-    """Lipschitz constant of t -> L(y, t) on [-bound, bound], y in [-1, 1].
-
-    For the power loss this is alpha (bound + 1)^(alpha - 1), from the mean
-    value theorem; the hinge loss is globally 1-Lipschitz.
-    """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if spec.kind == "hinge":
-        return 1.0
-    return spec.alpha * (bound + 1.0) ** (spec.alpha - 1.0)
-
-
-def growth_constant(spec: LossSpec) -> float:
-    """c_L with Lip(L on Y x [-t, t]) <= c_L t^(alpha-1) for t >= 1.
-
-    Realized as alpha 2^(alpha-1) for power losses (tight at t -> 1 from
-    alpha (t+1)^(alpha-1) <= alpha (2t)^(alpha-1)); 1 for hinge.
-    """
-    if spec.kind == "hinge":
-        return 1.0
-    return spec.alpha * 2.0 ** (spec.alpha - 1.0)
+    return np.abs(y - t) ** spec.alpha
 
 
 def modulus_of_convexity_bound(alpha: float, interval_bound: float,
@@ -161,25 +108,6 @@ class FiniteDistribution:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def mean(self) -> float:
-        return float(self.values @ self.weights)
-
-    @staticmethod
-    def point_mass(y: float) -> "FiniteDistribution":
-        return FiniteDistribution(np.array([y]), np.array([1.0]))
-
-    @staticmethod
-    def symmetric(center: float, offsets, weights=None) -> "FiniteDistribution":
-        """Distribution symmetric about ``center`` with atoms center +- s."""
-        offsets = np.asarray(offsets, dtype=float)
-        if weights is None:
-            weights = np.ones_like(offsets)
-        weights = np.asarray(weights, dtype=float)
-        vals = np.concatenate([center + offsets, center - offsets])
-        wts = np.concatenate([weights, weights])
-        return FiniteDistribution(vals, wts)
-
 
 def inner_risk(spec: LossSpec, q: FiniteDistribution, t: float) -> float:
     """C_{L,Q}(t) = sum_i w_i L(y_i, t), the conditional risk at t."""
@@ -211,11 +139,6 @@ def minimal_inner_risk(spec: LossSpec,
             gb = g(b)
     t_star = 0.5 * (lo + hi)
     return t_star, g(t_star)
-
-
-def mean_template_inner_risk(q: FiniteDistribution, t: float) -> float:
-    """The template inner risk |E Q - t| used to anchor mean calibration."""
-    return abs(q.mean - float(t))
 
 
 def calibration_function_lower_bound(alpha: float, eps: float) -> float:

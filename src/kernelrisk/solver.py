@@ -215,7 +215,6 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
 
     ``weights`` default to the empirical measure 1/n; passing explicit
     weights fits the regularized risk of a finite discrete distribution.
-    Only power losses are trainable here.
 
     Solves the ridge system (K + diag(lam / w)) c = y, then takes
     line-searched reweighted ridge passes until the duality gap is at most
@@ -236,8 +235,6 @@ def fit(kernel: Kernel, spec: LossSpec, train: TrainingSet, cfg: SolverConfig,
     not lower J is retried at s = 1; a pass at s = 1 that does not lower J
     cuts the floor by 100, and ends the fit once the floor is at 1e-12.
     """
-    if spec.kind != "power":
-        raise ValueError("only power losses are trainable")
     w = _normalized_weights(weights, train.n)
     K = kernel_matrix(kernel, train.xs)
     M = np.empty_like(K)  # the ridge system of every pass, factored in place

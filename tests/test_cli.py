@@ -207,10 +207,40 @@ def test_config_value_passes_flag_type(argv, tmp_path):
     ("sample = foo", ["covering", "fit"], "unknown sample 'foo'"),
     ("n_grid = [100, 1e400]", ["rates", "run"],
      "config key 'n_grid' = '100,Infinity': sample sizes"),
+    (None, ["rates", "run", "--domain", "0,0", "--trials", "2",
+            "--n-grid", "40,80"], "box needs finite bounds"),
+    (None, ["robustness", "run", "--domain", "0,0", "--trials", "2",
+            "--n", "40"], "box needs finite bounds"),
+    (None, ["validate", "calibration", "--domain", "0,0", "--functions", "2",
+            "--mc-points", "1000"], "box needs finite bounds"),
+    (None, ["fit", "--domain", "nan,1"], "box needs finite bounds"),
+    (None, ["fit", "--domain=-1e308,1e308"], "box needs finite bounds"),
+    (None, ["covering", "fit", "--domain", "0,inf"],
+     "box needs finite bounds"),
+    (None, ["fit", "--noise-width", "nan"], "half_width must be nonnegative"),
+    (None, ["fit", "--kernel-family", "gaussian", "--width", "nan"],
+     "gaussian kernel needs width > 0"),
+    (None, ["fit", "--length-scale", "nan"],
+     "matern kernel needs length_scale > 0"),
+    (None, ["fit", "--noise", "truncated_gaussian", "--noise-sigma", "nan"],
+     "sigma and half_width must be positive"),
+    (None, ["fit", "--fstar-norm", "nan"], "range guard violated"),
+    (None, ["robustness", "run", "--outlier-magnitude", "nan", "--trials", "2",
+            "--n", "40"], "outlier_magnitude must be nonnegative"),
+    (None, ["fit", "--sobolev-order", "nan"],
+     "matern kernel needs finite sobolev_order >= 1"),
+    (None, ["fit", "--sobolev-order", "inf"],
+     "matern kernel needs finite sobolev_order >= 1"),
 ], ids=["lam", "alpha", "domain", "config-kernel", "config-kernel-covering",
         "config-noise", "config-truth", "config-unknown-key",
         "config-key-of-other-command", "config-int", "config-float",
-        "config-switch", "config-sample", "config-sizes-inf"])
+        "config-switch", "config-sample", "config-sizes-inf",
+        "domain-zero-width-rates", "domain-zero-width-robustness",
+        "domain-zero-width-calibration", "domain-nan",
+        "domain-width-overflows", "domain-inf",
+        "noise-width-nan", "width-nan", "length-scale-nan", "noise-sigma-nan",
+        "fstar-norm-nan", "outlier-magnitude-nan", "sobolev-order-nan",
+        "sobolev-order-inf"])
 def test_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "bad.cfg"

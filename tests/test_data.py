@@ -34,6 +34,21 @@ def make_model(noise=None, kernel=KERN):
 
 
 class TestNoise:
+    @pytest.mark.parametrize("build", [
+        lambda: UniformNoise(np.nan),
+        lambda: UniformNoise(-0.1),
+        lambda: TruncatedGaussianNoise(np.nan, 0.5),
+        lambda: TruncatedGaussianNoise(0.4, np.nan),
+        lambda: TruncatedGaussianNoise(0.0, 0.5),
+        lambda: ContaminatedNoise(UniformNoise(0.2), 0.1, np.nan),
+        lambda: ContaminatedNoise(UniformNoise(0.2), 0.1, -0.4),
+    ], ids=["uniform-nan", "uniform-negative", "gauss-sigma-nan",
+            "gauss-width-nan", "gauss-sigma-zero", "outlier-nan",
+            "outlier-negative"])
+    def test_bad_parameters_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_uniform_bound_and_symmetry(self):
         noise = UniformNoise(0.4)
         assert noise.bound == 0.4
@@ -77,6 +92,10 @@ class TestDataModel:
         with pytest.raises(ValueError):
             DataModel(make_fstar(norm=0.7), UniformNoise(0.5))
         DataModel(make_fstar(norm=0.5), UniformNoise(0.5))  # exactly 1: fine
+
+    def test_range_guard_rejects_nan(self):
+        with pytest.raises(ValueError, match="range guard"):
+            DataModel(make_fstar(norm=np.nan), UniformNoise(0.5))
 
     def test_symmetry_flag(self):
         assert make_model().symmetric

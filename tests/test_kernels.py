@@ -12,10 +12,8 @@ from kernelrisk.kernels import (
     Kernel,
     KernelExpansion,
     combine_expansions,
-    grid_sup_estimate,
     kernel_from_config,
     kernel_matrix,
-    zero_expansion,
     _exponential_scan_eval,
     _locate,
 )
@@ -33,7 +31,30 @@ def exponential(ell=1.0, box=SYM):
     return Kernel("matern", box, sobolev_order=1.0, length_scale=ell)
 
 
+class TestBox:
+    @pytest.mark.parametrize("lower, upper", [
+        ((0.0,), (0.0,)), ((1.0,), (0.0,)), ((math.nan,), (1.0,)),
+        ((0.0,), (math.inf,)), ((-math.inf,), (0.0,)),
+        ((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), (1.0, math.nan)),
+        ((-1e308,), (1e308,)),
+    ], ids=["zero-width", "reversed", "nan", "inf", "minus-inf",
+            "zero-width-axis", "nan-axis", "width-overflows"])
+    def test_needs_finite_bounds_and_positive_width(self, lower, upper):
+        with pytest.raises(ValueError, match="finite bounds"):
+            Box(lower, upper)
+
+
 class TestKernelConstruction:
+    @pytest.mark.parametrize("params", [
+        {"family": "gaussian", "width": math.nan},
+        {"family": "matern", "sobolev_order": 1.0, "length_scale": math.nan},
+        {"family": "matern", "sobolev_order": math.nan, "length_scale": 1.0},
+        {"family": "matern", "sobolev_order": math.inf, "length_scale": 1.0},
+    ], ids=["width-nan", "length-scale-nan", "order-nan", "order-inf"])
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(ValueError, match="kernel needs"):
+            Kernel(domain=UNIT, **params)
+
     def test_gaussian_requires_positive_width(self):
         with pytest.raises(ValueError):
             Kernel("gaussian", UNIT, width=0.0)
@@ -152,7 +173,10 @@ class TestKernelMatrix:
 
     def test_diagonal_at_most_one(self):
         for k in (gaussian(0.4), exponential(0.7), Kernel("linear", BOX2)):
-            pts = k.domain.uniform_grid(9)
+            axes = [np.linspace(lo, hi, 9)
+                    for lo, hi in zip(k.domain.lower, k.domain.upper)]
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"),
+                           axis=-1).reshape(-1, k.dim)
             K = kernel_matrix(k, pts)
             assert np.max(np.diag(K)) <= 1.0 + 1e-12
 
@@ -207,7 +231,8 @@ class TestExpansion:
                 rng.uniform(-1, 1, size=(m, 1)),
                 rng.normal(size=m),
             )
-            assert grid_sup_estimate(f) <= f.sup_norm_bound() + 1e-9
+            grid = np.linspace(-1.0, 1.0, 10_000)
+            assert np.max(np.abs(f(grid))) <= f.sup_norm_bound() + 1e-9
 
     def test_triangle_inequality_for_sums(self):
         rng = np.random.default_rng(5)
@@ -225,7 +250,7 @@ class TestExpansion:
             combine_expansions(f, g)
 
     def test_zero_expansion(self):
-        z = zero_expansion(gaussian())
+        z = KernelExpansion(gaussian(), np.zeros((0, 1)), np.zeros(0))
         assert len(z) == 0
         assert z.rkhs_norm() == 0.0
         np.testing.assert_array_equal(z([[0.1], [0.2]]), [0.0, 0.0])

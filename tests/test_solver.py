@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from kernelrisk.data import DataModel, UniformNoise, generate
 from kernelrisk.kernels import Box, Kernel, KernelExpansion, kernel_matrix
-from kernelrisk.losses import power_loss, hinge_loss
+from kernelrisk.losses import power_loss
 from kernelrisk.solver import (
     FitResult,
     SolverConfig,
@@ -92,11 +92,6 @@ class TestClosedForm:
         assert got.tobytes() == expected.tobytes()
         assert not np.array_equal(system, M)
         assert np.tril(system.T).tobytes() == np.tril(factor).tobytes()
-
-    def test_hinge_not_trainable(self):
-        train = TrainingSet([[0.0]], [1.0])
-        with pytest.raises(ValueError):
-            fit(GAUSS, hinge_loss(), train, SolverConfig(lam=0.5))
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError):
@@ -252,11 +247,9 @@ class TestFirstOrder:
     def test_zero_function_objective_bounded_by_one(self):
         rng = np.random.default_rng(5)
         train = random_train(rng, 20)
-        from kernelrisk.kernels import zero_expansion
-
+        zero = KernelExpansion(EXPO, np.zeros((0, EXPO.dim)), np.zeros(0))
         for alpha in (1.0, 1.5, 2.0):
-            val = objective(EXPO, power_loss(alpha), train, 0.5,
-                            zero_expansion(EXPO))
+            val = objective(EXPO, power_loss(alpha), train, 0.5, zero)
             assert val <= 1.0 + 1e-12
 
 
