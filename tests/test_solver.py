@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from kernelrisk.data import DataModel, UniformNoise, generate
 from kernelrisk.kernels import Box, Kernel, KernelExpansion, kernel_matrix
-from kernelrisk.losses import power_loss
+from kernelrisk.losses import LossSpec, power_loss
 from kernelrisk.solver import (
     FitResult,
     SolverConfig,
@@ -92,6 +92,14 @@ class TestClosedForm:
         assert got.tobytes() == expected.tobytes()
         assert not np.array_equal(system, M)
         assert np.tril(system.T).tobytes() == np.tril(factor).tobytes()
+
+    def test_hinge_not_trainable(self):
+        # the hinge loss has no LossSpec, so a hinge fit stops where the
+        # loss config is read, before the solver is reached
+        train = TrainingSet([[0.0]], [1.0])
+        with pytest.raises(ValueError):
+            fit(GAUSS, LossSpec.from_config({"kind": "hinge", "alpha": 1.0}),
+                train, SolverConfig(lam=0.5))
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError):
